@@ -1,8 +1,12 @@
 """Continued fractions and the parity-constrained even expansion.
 
-A continued fraction word [c1, ..., cm] evaluates right to left through
-c + 1/x on the projective line, so entries may be integers, rationals, or
-infinity, and a zero entry collapses its neighbours instead of crashing.
+A continued fraction word [c1, ..., cm] is one integer fold, the product of
+the matrices (n d / d 0) that act as c + 1/x on homogeneous coordinates of the
+projective line, over its entries n/d (an integer c is c/1, infinity is 1/0).
+Its first column is the value, so a zero entry collapses its neighbours
+instead of crashing, and the column is (0, 0) exactly when a step asks for
+infinity + infinity. ``cf_eval`` reads that column; ``sl2.word_product``
+reads the whole product.
 
 Every rational q/p has exactly one expansion of the shape
 
@@ -27,19 +31,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .rationals import INFINITY, ProjectiveRational, projective_add_invert
+from .rationals import INFINITY, IndeterminateFormError, ProjectiveRational, _quotient
+
+
+def _fold(word: Iterable[ProjectiveRational]) -> Tuple[int, int, int, int]:
+    """The product (q s / p r) of (n d / d 0) over the entries n/d of a word."""
+    q, s, p, r = 1, 0, 0, 1
+    for c in word:
+        if type(c) is int:
+            q, s, p, r = q * c + s, q, p * c + r, p
+        else:
+            n, d = (1, 0) if c is INFINITY else Fraction(c).as_integer_ratio()
+            q, s, p, r = q * n + s * d, q * d, p * n + r * d, p * d
+    return q, s, p, r
 
 
 def cf_eval(entries: Iterable[ProjectiveRational]) -> ProjectiveRational:
-    """Evaluate a continued fraction word right to left."""
-    word = list(entries)
+    """Evaluate a continued fraction word on the projective line."""
+    word = tuple(entries)
     if not word:
         raise ValueError("empty continued fraction")
-    last = word[-1]
-    acc: ProjectiveRational = last if last is INFINITY else Fraction(last)
-    for c in reversed(word[:-1]):
-        acc = projective_add_invert(c, acc)
-    return acc
+    q, _, p, _ = _fold(word)
+    if q == 0 and p == 0:
+        raise IndeterminateFormError("INFINITY + INFINITY is indeterminate")
+    return _quotient(q, p)
 
 
 def negate_cf(entries: Sequence[ProjectiveRational]) -> Tuple[ProjectiveRational, ...]:

@@ -3,8 +3,8 @@ re-certify the two load-bearing facts on demand: the even expansion is the
 unique constraint-satisfying one at desk scale, and word matrices encode
 exactly the continued fractions of their words.
 
-The enumeration works on raw entry tuples and evaluates them with its own
-plain fold, so it shares nothing with the expansion routine it certifies.
+Both checks evaluate words with their own fold of projective c + 1/x steps,
+so they share nothing with the integer fold or the expansion they certify.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
-from .contfrac import cf_eval, even_cf_expand
-from .rationals import INFINITY, render
+from .contfrac import even_cf_expand
+from .rationals import INFINITY, ProjectiveRational, projective_add_invert, render
 from .sl2 import word_product
 
 
@@ -37,12 +37,12 @@ class OracleReport:
         return line
 
 
-def _eval_raw(entries: Tuple[int, ...]) -> Fraction:
-    # Constraint-satisfying sequences never hit a zero tail, so a plain
-    # Fraction fold suffices here.
-    acc = Fraction(entries[-1])
+def _eval_raw(entries: Tuple[ProjectiveRational, ...]) -> ProjectiveRational:
+    # The reference evaluation, right to left; INFINITY and zero tails
+    # follow projective_add_invert's conventions.
+    acc = entries[-1] if entries[-1] is INFINITY else Fraction(entries[-1])
     for c in reversed(entries[:-1]):
-        acc = c + 1 / acc
+        acc = projective_add_invert(c, acc)
     return acc
 
 
@@ -142,7 +142,7 @@ def random_word_dictionary_check(samples: int, seed: int) -> OracleReport:
         )
         for label, num, den, entries in checks:
             matrix_side = INFINITY if den == 0 else Fraction(num, den)
-            cf_side = cf_eval(entries)
+            cf_side = _eval_raw(entries)
             if matrix_side != cf_side:
                 violations.append(
                     f"word {word} {label}: matrix {render(matrix_side)}, "

@@ -98,11 +98,14 @@ class SlopePair:
             object.__setattr__(self, "q", -self.q)
 
 
+def _quotient(numerator: int, denominator: int) -> ProjectiveRational:
+    """numerator/denominator, or INFINITY when denominator = 0."""
+    return INFINITY if denominator == 0 else Fraction(numerator, denominator)
+
+
 def slope_of_pair(sp: SlopePair) -> ProjectiveRational:
     """The slope q/p of a pair, infinite exactly when p = 0."""
-    if sp.p == 0:
-        return INFINITY
-    return Fraction(sp.q, sp.p)
+    return _quotient(sp.q, sp.p)
 
 
 @dataclass(frozen=True)

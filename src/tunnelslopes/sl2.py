@@ -3,7 +3,7 @@
 U is upper unitriangular, L lower unitriangular. A word is a sequence of
 exponents (a1, b1, a2, b2, ...) read as U^a1 L^b1 U^a2 L^b2 and so on; a
 matrix built from a word remembers it, which lets the continued-fraction
-entries of the word be read off and cross-checked against the matrix.
+entries of the word be read off the matrix.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-from .contfrac import cf_eval, even_cf_expand, sum_a
-from .rationals import INFINITY, ProjectiveRational
+from .contfrac import _fold, even_cf_expand, sum_a
+from .rationals import ProjectiveRational, _quotient
 
 
 class ParityError(ValueError):
@@ -63,9 +63,7 @@ class SL2Matrix:
         return self.q * self.r - self.s * self.p
 
     def first_column_slope(self) -> ProjectiveRational:
-        if self.p == 0:
-            return INFINITY
-        return Fraction(self.q, self.p)
+        return _quotient(self.q, self.p)
 
 
 IDENTITY = SL2Matrix(1, 0, 0, 1)
@@ -81,55 +79,41 @@ def generator_power(which: str, exponent: int) -> SL2Matrix:
 
 
 def word_product(exponents: Iterable[int]) -> SL2Matrix:
-    """Product of alternating generator powers, U first; empty word is the identity."""
+    """Product of alternating generator powers, U first; empty word is the identity.
+
+    With J = (0 1 / 1 0), U^a = (a 1 / 1 0) J and L^b = J (b 1 / 1 0), so the
+    J factors cancel in pairs and only an odd-length word keeps one, which
+    swaps the columns of the continued-fraction fold.
+    """
     exps = tuple(exponents)
-    m = IDENTITY
-    for i, e in enumerate(exps):
-        g = SL2Matrix(1, e, 0, 1) if i % 2 == 0 else SL2Matrix(1, 0, e, 1)
-        m = m * g
-    return SL2Matrix(m.q, m.s, m.p, m.r, word=exps)
-
-
-def _quotient(numerator: int, denominator: int) -> ProjectiveRational:
-    if denominator == 0:
-        return INFINITY
-    return Fraction(numerator, denominator)
+    q, s, p, r = _fold(exps)
+    if len(exps) % 2:
+        q, s, p, r = s, q, r, p
+    return SL2Matrix(q, s, p, r, word=exps)
 
 
 def cf_entries_from_word(m: SL2Matrix) -> Tuple[ProjectiveRational, ...]:
     """The four continued fractions a word matrix encodes.
 
-    Returns (q/p, s/r, q/s, p/r) and checks each against the evaluation of
-    the matching entry sequence: the word itself, the word without its last
-    entry, the reversed word, and the reversed word without its last entry.
-    Words of odd length are padded with a final zero exponent, which leaves
-    the matrix unchanged.
+    Returns (q/p, s/r, q/s, p/r): the values of the word, the word without
+    its last entry, the reversed word, and the reversed word without its last
+    entry, a word of odd length being padded with a final zero. These are
+    identities of the fold of symmetric (c 1 / 1 0) behind ``word_product``,
+    so the one check here is that the stored word produces the matrix; the
+    oracle certifies the identities along ``c + 1/x`` steps.
     """
     if m.word is None:
         raise ValueError("matrix does not carry a defining word")
     if len(m.word) == 0:
         raise ValueError("the empty word has no continued-fraction entries")
-    word = m.word if len(m.word) % 2 == 0 else m.word + (0,)
-    reverse = tuple(reversed(word))
-    quartet = (
+    if word_product(m.word) != m:
+        raise ArithmeticError(f"word {m.word} does not produce ({m.q} {m.s} / {m.p} {m.r})")
+    return (
         _quotient(m.q, m.p),
         _quotient(m.s, m.r),
         _quotient(m.q, m.s),
         _quotient(m.p, m.r),
     )
-    evaluated = (
-        cf_eval(word),
-        cf_eval(word[:-1]),
-        cf_eval(reverse),
-        cf_eval(reverse[:-1]),
-    )
-    for label, got, want in zip(("q/p", "s/r", "q/s", "p/r"), quartet, evaluated):
-        if got != want:
-            raise ArithmeticError(
-                f"dictionary identity {label} failed for word {word}: "
-                f"matrix gives {got!r}, continued fraction gives {want!r}"
-            )
-    return quartet
 
 
 def change_of_basis(x) -> SL2Matrix:

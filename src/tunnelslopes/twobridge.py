@@ -143,7 +143,7 @@ def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
     """The forms for both residues a' = a (mod b) with |b/a'| > 1.
 
     For every valid input exactly two residues qualify, one positive and one
-    negative; the positive one comes first.
+    negative; the positive one comes first. ``make_form`` validates each.
     """
     if b < 0:
         b, a = -b, -a
@@ -151,10 +151,6 @@ def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
         raise LinkInvariantError(
             f"b = {b} is even: a 2-bridge link has only its upper and lower tunnels"
         )
-    if b == 1:
-        raise TrivialKnotError("b = 1 names the trivial knot")
-    if gcd(b, abs(a)) != 1:
-        raise ValueError(f"{b} and {a} are not coprime")
     residue = a % b
     return [make_form(b, residue), make_form(b, residue - b)]
 

@@ -10,7 +10,23 @@ from tunnelslopes import (
     cf_eval,
     even_cf_expand,
     negate_cf,
+    projective_add_invert,
     sum_a,
+)
+
+
+def reference_fold(word):
+    """Right-to-left c + 1/x steps, the reference for cf_eval's integer fold."""
+    acc = word[-1] if word[-1] is INFINITY else Fraction(word[-1])
+    for c in reversed(word[:-1]):
+        acc = projective_add_invert(c, acc)
+    return acc
+
+
+projective_entries = st.one_of(
+    st.integers(-6, 6),
+    st.sampled_from([0, INFINITY]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
 )
 
 
@@ -35,6 +51,19 @@ class TestCfEval:
 
     def test_infinite_tail_is_dropped(self):
         assert cf_eval([7, INFINITY]) == Fraction(7)
+
+    @given(st.lists(projective_entries, min_size=1, max_size=7))
+    @settings(max_examples=500)
+    def test_matches_reference_fold(self, word):
+        try:
+            expected = reference_fold(word)
+        except IndeterminateFormError:
+            with pytest.raises(IndeterminateFormError):
+                cf_eval(word)
+            return
+        got = cf_eval(word)
+        assert type(got) is type(expected)
+        assert got == expected
 
 
 # The expansions below were derived by hand with the descent rules and are

@@ -11,6 +11,7 @@ from tunnelslopes import (
     cf_entries_from_word,
     change_of_basis,
     generator_power,
+    projective_add_invert,
     word_product,
 )
 
@@ -25,6 +26,14 @@ def mul_oracle(word):
             for r in range(2)
         )
     return rows
+
+
+def cf_value(entries):
+    """Right-to-left c + 1/x steps over an integer word."""
+    acc = Fraction(entries[-1])
+    for c in reversed(entries[:-1]):
+        acc = projective_add_invert(c, acc)
+    return acc
 
 
 def as_rows(m):
@@ -101,10 +110,19 @@ class TestCfEntriesFromWord:
         with pytest.raises(ValueError):
             cf_entries_from_word(SL2Matrix(2, 1, 1, 1))
 
-    @given(st.lists(nonzero_exponents, min_size=2, max_size=8).filter(lambda w: len(w) % 2 == 0))
+    def test_word_not_producing_the_matrix_rejected(self):
+        with pytest.raises(ArithmeticError):
+            cf_entries_from_word(SL2Matrix(2, 1, 1, 1, word=(2, 1)))
+
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=8))
     @settings(max_examples=200)
     def test_identities_hold_on_random_words(self, word):
-        cf_entries_from_word(word_product(word))  # raises on any mismatch
+        padded = tuple(word) + (0,) * (len(word) % 2)
+        reverse = padded[::-1]
+        expected = tuple(
+            cf_value(entries) for entries in (padded, padded[:-1], reverse, reverse[:-1])
+        )
+        assert cf_entries_from_word(word_product(word)) == expected
 
     @given(st.lists(nonzero_exponents, min_size=2, max_size=8).filter(lambda w: len(w) % 2 == 0))
     def test_transpose_symmetry(self, word):

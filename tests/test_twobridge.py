@@ -98,6 +98,14 @@ class TestNormalizeInput:
         with pytest.raises(TrivialKnotError):
             normalize_input(1, 2)
 
+    def test_negative_trivial_knot_rejected(self):
+        with pytest.raises(TrivialKnotError):
+            normalize_input(-1, 2)
+
+    def test_zero_b_rejected(self):
+        with pytest.raises(LinkInvariantError):
+            normalize_input(0, 1)
+
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             normalize_input(5, 10)
