@@ -1,10 +1,10 @@
 """Exhaustive and randomized cross-checks, shipped so the command line can
-re-certify the two load-bearing facts on demand: the even expansion is the
-unique constraint-satisfying one at desk scale, and word matrices encode
-exactly the continued fractions of their words.
+re-certify the three load-bearing facts on demand: the even expansion is the
+unique constraint-satisfying one at desk scale, word matrices encode exactly
+the continued fractions of their words, and 2-bridge unit rewrites keep b/a.
 
-Both checks evaluate words with their own fold of projective c + 1/x steps,
-so they share nothing with the integer fold or the expansion they certify.
+All three checks evaluate words with their own fold of projective c + 1/x
+steps, sharing nothing with the integer fold or the expansion they certify.
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterator, List, Tuple
 
 from .contfrac import even_cf_expand
 from .rationals import INFINITY, ProjectiveRational, projective_add_invert, render
 from .sl2 import word_product
+from .twobridge import TwoBridgeForm, _unit_word, make_form
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,21 @@ def random_word_dictionary_check(samples: int, seed: int) -> OracleReport:
     )
 
 
+def unit_rewrite_check(forms: List[TwoBridgeForm]) -> OracleReport:
+    """Check each form's unit rewrite: one unit per twist of the expansion,
+    and the unit word evaluates back to b/a under the reference fold."""
+    violations = []
+    for f in forms:
+        twists = sum(abs(a) for a in f.expansion.a_entries)
+        if len(f.unit_a) != twists:
+            violations.append(f"{f.b}/{f.a}: {len(f.unit_a)} units for {twists} twists")
+        elif (value := _eval_raw(_unit_word(f.unit_a, f.unit_b))) != Fraction(f.b, f.a):
+            violations.append(f"{f.b}/{f.a}: unit word evaluates to {render(value)}")
+    return OracleReport("2-bridge unit rewrite", len(forms), tuple(sorted(violations)))
+
+
 def selfcheck() -> List[OracleReport]:
     """The standard certification run used by the command line."""
-    enumeration = enumerate_even_cfs(4, 6)
-    return [check_uniqueness(enumeration), random_word_dictionary_check(200, 1)]
+    forms = [make_form(b, a) for b in range(3, 20, 2) for a in range(1 - b, b) if gcd(b, a) == 1]
+    uniqueness = check_uniqueness(enumerate_even_cfs(4, 6))
+    return [uniqueness, random_word_dictionary_check(200, 1), unit_rewrite_check(forms)]

@@ -67,14 +67,21 @@ def render(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _excerpt(text: str) -> str:
+    """repr(text) for error messages, cut to its ends and length when long."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:20] + '...' + text[-20:]!r} ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'n' or 'n/d' into a reduced Fraction."""
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+        raise ValueError(f"zero denominator in {_excerpt(text)}") from exc
     except ValueError as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"not a rational: {_excerpt(text)}") from exc
 
 
 @dataclass(frozen=True)

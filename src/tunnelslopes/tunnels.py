@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .rationals import INFINITY, ResidueSlope, render
+from .rationals import INFINITY, ResidueSlope, _excerpt, render
 
 
 class ValidationError(ValueError):
@@ -180,7 +180,7 @@ def parse(text: str) -> TunnelParams:
             try:
                 slopes.append(Fraction(cleaned))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad slope {cleaned!r}", cursor) from None
+                raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
             cursor += len(token) + 1
     binaries: Tuple[int, ...] = ()
     if semicolon:
@@ -189,7 +189,7 @@ def parse(text: str) -> TunnelParams:
         if not bits:
             raise ParseError("missing binary string after ';'", bit_pos)
         if any(c not in "01" for c in bits):
-            raise ParseError(f"binary string {bits!r} must use only 0 and 1", bit_pos)
+            raise ParseError(f"binary string {_excerpt(bits)} must use only 0 and 1", bit_pos)
         binaries = tuple(int(c) for c in bits)
     return TunnelParams(m0, tuple(slopes), binaries)
 

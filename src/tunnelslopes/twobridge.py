@@ -9,7 +9,8 @@ units from the last to the first yields an explicit twist count k for each
 cabling and from it the cabling slope, 2 + 1/k or -2 + 1/k depending on a
 strand parity that the final lower entry controls. The first cabling instead
 contributes a residue mod 1. All of the selection bits are zero for these
-tunnels.
+tunnels. ``make_form`` is the one validation of b/a; the records it builds
+are not checked again, and ``oracle.unit_rewrite_check`` certifies the units.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Tuple
 
-from .contfrac import EvenCF, cf_eval, even_cf_expand
+from .contfrac import EvenCF, even_cf_expand
 from .rationals import ResidueSlope, residue_of
 from .tunnels import TunnelParams
 
@@ -39,53 +40,34 @@ class CablingContradictionError(RuntimeError):
 
 @dataclass(frozen=True)
 class CablingStep:
-    """One cabling beyond the first: its unit index, twist count, strand
-    parity, and resulting slope."""
+    """One cabling beyond the first: its unit index, twist count k != 0 and
+    strand parity, from which the slope 2 + 1/k or -2 + 1/k is derived."""
 
     index: int
     k: int
     parity: str
-    slope: Fraction
 
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
         if self.k == 0:
-            raise CablingContradictionError("twist count 0 gives an infinite slope")
-        base = 2 if self.parity == "even" else -2
-        if self.slope != base + Fraction(1, self.k):
-            raise ValueError(
-                f"slope {self.slope} does not equal {base} + 1/{self.k}"
-            )
+            raise CablingContradictionError(f"cabling {self.index} has twist count 0")
+
+    @property
+    def slope(self) -> Fraction:
+        return (2 if self.parity == "even" else -2) + Fraction(1, self.k)
 
 
 @dataclass(frozen=True)
 class TwoBridgeForm:
-    """A normalized 2-bridge invariant with its unit-rewritten expansion."""
+    """A normalized 2-bridge invariant with its unit-rewritten expansion; a
+    plain record that ``make_form`` validates and builds."""
 
     b: int
     a: int
     expansion: EvenCF
     unit_a: Tuple[int, ...]
     unit_b: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.b % 2 == 0:
-            raise LinkInvariantError(f"b = {self.b} is even")
-        if self.a == 0 or abs(self.a) >= abs(self.b):
-            raise ValueError(f"|{self.b}/{self.a}| must exceed 1")
-        if gcd(abs(self.b), abs(self.a)) != 1:
-            raise ValueError(f"{self.b} and {self.a} are not coprime")
-        if len(self.unit_a) != len(self.unit_b):
-            raise ValueError("unit sequences must have equal length")
-        if any(u not in (1, -1) for u in self.unit_a):
-            raise ValueError("unit a entries must be +-1")
-        if self.unit_b[-1] == 0:
-            raise ValueError("the final unit b entry must be nonzero")
-        if len(self.unit_a) != sum(abs(a) for a in self.expansion.a_entries):
-            raise ValueError("unit count must equal the total twist count")
-        if cf_eval(_unit_word(self.unit_a, self.unit_b)) != Fraction(self.b, self.a):
-            raise ValueError("unit rewrite does not evaluate back to b/a")
 
 
 def _unit_word(unit_a: Tuple[int, ...], unit_b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -117,7 +99,8 @@ def unit_rewrite(e: EvenCF) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 
 def make_form(b: int, a: int) -> TwoBridgeForm:
-    """Build the form for an already-normalized invariant b/a."""
+    """Build the form for an already-normalized invariant b/a, checking b/a
+    here and nowhere else (the form's units are certified by the oracle)."""
     if b < 0:
         b, a = -b, -a
     if b % 2 == 0:
@@ -147,11 +130,7 @@ def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
     """
     if b < 0:
         b, a = -b, -a
-    if b % 2 == 0:
-        raise LinkInvariantError(
-            f"b = {b} is even: a 2-bridge link has only its upper and lower tunnels"
-        )
-    residue = a % b
+    residue = a % b if b else a  # make_form rejects b = 0 as even
     return [make_form(b, residue), make_form(b, residue - b)]
 
 
@@ -179,10 +158,7 @@ def cabling_steps(form: TwoBridgeForm) -> Tuple[ResidueSlope, Tuple[CablingStep,
         else:
             parity = "even" if b_last % 2 == 0 else "odd"
             k = 2 * b_i if current == 1 else 2 * b_i - 1
-        if k == 0:
-            raise CablingContradictionError(f"cabling {i} has twist count 0")
-        base = 2 if parity == "even" else -2
-        steps.append(CablingStep(index=i, k=k, parity=parity, slope=base + Fraction(1, k)))
+        steps.append(CablingStep(index=i, k=k, parity=parity))
     return m0, tuple(steps)
 
 

@@ -48,6 +48,13 @@ class TestConvert:
         assert code == 1
         assert "error" in err
 
+    def test_huge_garbage_error_is_short(self, capsys):
+        code, _, err = run(capsys, "convert", "3" + "1" * 5000)
+        assert code == 1
+        assert err.startswith("error: not a rational: '3111")
+        assert "(5001 characters)" in err
+        assert len(err.encode()) < 200
+
 
 class TestConvertRange:
     def test_reference_block(self, capsys):
@@ -152,10 +159,25 @@ class TestTupleCommands:
         assert code == 1
         assert "position" in err
 
+    @pytest.mark.parametrize(
+        "params,prefix",
+        [
+            ("[ 1/3 ], " + "3" * 5001, "error: bad slope '3333"),
+            ("[ 1/3 ], 3, 5/3 ; 0" + "2" * 5000, "error: binary string '0222"),
+        ],
+    )
+    def test_huge_bad_token_error_is_short(self, capsys, params, prefix):
+        code, _, err = run(capsys, "classify", params)
+        assert code == 1
+        assert err.startswith(prefix)
+        assert "(5001 characters)" in err
+        assert len(err.encode()) < 200
+
 
 def test_selfcheck(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0
     assert "even-cf uniqueness: ok" in out
     assert "cf/matrix dictionary: ok" in out
+    assert "2-bridge unit rewrite: ok (164 checked)" in out
     assert out.endswith("selfcheck: ok\n")

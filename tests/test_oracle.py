@@ -74,7 +74,7 @@ class TestDictionaryCheck:
 
 def test_selfcheck_is_clean():
     reports = selfcheck()
-    assert len(reports) == 2
+    assert len(reports) == 3
     assert all(r.ok for r in reports)
     for report in reports:
         assert "ok" in report.summary()

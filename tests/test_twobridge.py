@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +23,7 @@ from tunnelslopes import (
     unit_rewrite,
     validate,
 )
+from tunnelslopes.oracle import unit_rewrite_check
 from tunnelslopes.twobridge import _unit_word
 
 
@@ -150,14 +152,15 @@ class TestUnitRewrite:
 
 class TestCablingStep:
     def test_step_invariant_enforced(self):
-        with pytest.raises(ValueError):
+        assert CablingStep(index=1, k=3, parity="even").slope == Fraction(7, 3)
+        with pytest.raises(TypeError):
             CablingStep(index=1, k=3, parity="even", slope=Fraction(5, 2))
 
     def test_zero_twist_rejected(self):
         from tunnelslopes import CablingContradictionError
 
         with pytest.raises(CablingContradictionError):
-            CablingStep(index=1, k=0, parity="even", slope=Fraction(2))
+            CablingStep(index=1, k=0, parity="even")
 
     def test_steps_emitted_in_descending_unit_order(self):
         m0, steps = cabling_steps(make_form(33, 19))
@@ -203,10 +206,22 @@ def test_structural_properties(b, a):
         assert cls.kind is TunnelKind.SEMISIMPLE
     else:
         assert cls.kind is TunnelKind.SIMPLE_KNOT
+    assert cf_eval(_unit_word(form.unit_a, form.unit_b)) == Fraction(b, a)
     _, steps = cabling_steps(form)
     for step in steps:
         center = 2 if step.parity == "even" else -2
         assert abs(step.slope - center) == Fraction(1, abs(step.k)) <= 1
+
+
+def test_unit_rewrite_check_catches_broken_forms():
+    form = make_form(33, 19)
+    changed_last_b = replace(form, unit_b=form.unit_b[:-1] + (form.unit_b[-1] + 1,))
+    dropped_unit = replace(form, unit_a=form.unit_a[1:], unit_b=form.unit_b[1:])
+    assert unit_rewrite_check([form]).ok
+    assert unit_rewrite_check([changed_last_b]).violations == (
+        "33/19: unit word evaluates to 59/34",
+    )
+    assert unit_rewrite_check([dropped_unit]).violations == ("33/19: 2 units for 3 twists",)
 
 
 def test_total_cabling_count_equals_expansion_twists():
