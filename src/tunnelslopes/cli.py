@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .convert import convert_range, st_convert
 from .oracle import selfcheck
-from .rationals import parse_rational, render
+from .rationals import _excerpt, parse_rational, render
 from .tunnels import (
     Target,
     TunnelKind,
@@ -36,11 +36,18 @@ def _strip_parens(text: str) -> str:
     return t
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"not an integer: {_excerpt(text)}") from exc
+
+
 def _parse_two_bridge(text: str):
     if "/" in text:
         b_text, a_text = text.split("/", 1)
-        return int(b_text.strip()), int(a_text.strip())
-    return int(text), 1
+        return _integer(b_text), _integer(a_text)
+    return _integer(text), 1
 
 
 def _slopes_line(t: TunnelParams) -> str:
@@ -54,7 +61,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_convert_range(args: argparse.Namespace) -> int:
-    for left, right in convert_range(args.p, args.q_lo, args.q_hi):
+    bounds = (_integer(args.p), _integer(args.q_lo), _integer(args.q_hi))
+    for left, right in convert_range(*bounds):
         print(f"{render(left)}, {render(right)}")
     return 0
 
@@ -132,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("convert-range", help="convert every odd q/p in a range of q")
-    p.add_argument("p", type=int)
-    p.add_argument("q_lo", type=int)
-    p.add_argument("q_hi", type=int)
+    p.add_argument("p")
+    p.add_argument("q_lo")
+    p.add_argument("q_hi")
     p.set_defaults(func=cmd_convert_range)
 
     p = sub.add_parser("slopes", help="cabling slopes of a 2-bridge knot tunnel")

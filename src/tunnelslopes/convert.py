@@ -10,8 +10,8 @@ The map between them is an involution: expand the input q/p (q odd) as
 where the leading sign is minus for p odd and plus for p even. The result
 q'/p satisfies q*q' = -1 (mod p), and an odd integer simply negates.
 
-``st_convert_via_matrix`` reaches the same value along an independent route,
-reading the first column of the inverse of the change-of-basis matrix.
+``st_convert_via_matrix`` reaches the same value along an independent route:
+the slope of the first column of the inverse of the change-of-basis matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from .contfrac import cf_eval, even_cf_expand, sum_a
 from .rationals import INFINITY
-from .sl2 import ParityError, change_of_basis, word_product
+from .sl2 import ParityError, change_of_basis
 
 
 def conversion_word(x) -> Tuple[int, ...]:
@@ -51,13 +51,12 @@ def st_convert(x) -> Fraction:
 
 
 def st_convert_via_matrix(x) -> Fraction:
-    """The same conversion, read off the inverse change-of-basis matrix."""
+    """The same conversion: the first column of the inverse change-of-basis matrix."""
     x = Fraction(x)
-    basis = change_of_basis(x)
-    inverse = word_product(tuple(-e for e in reversed(basis.word)))
-    if inverse.p == 0:
+    out = change_of_basis(x).inverse().first_column_slope()
+    if out is INFINITY:
         raise ArithmeticError(f"conversion of {x} produced an infinite slope")
-    return Fraction(inverse.q, inverse.p)
+    return out
 
 
 def convert_range(p: int, q_lo: int, q_hi: int) -> List[Tuple[Fraction, Fraction]]:

@@ -125,7 +125,7 @@ def random_word_dictionary_check(samples: int, seed: int) -> OracleReport:
 
     Words have one to four (a, b) exponent pairs drawn from [-5, 5] without
     zero. The identities are evaluated from scratch here rather than through
-    the library's own checking helper. Deterministic for a fixed seed.
+    ``cf_entries_from_word``. Deterministic for a fixed seed.
     """
     if samples < 0:
         raise ValueError("sample count must be nonnegative")

@@ -1,16 +1,16 @@
 """Determinant-1 integer 2x2 matrices as words in the generators U and L.
 
 U is upper unitriangular, L lower unitriangular. A word is a sequence of
-exponents (a1, b1, a2, b2, ...) read as U^a1 L^b1 U^a2 L^b2 and so on; a
-matrix built from a word remembers it, which lets the continued-fraction
-entries of the word be read off the matrix.
+exponents (a1, b1, a2, b2, ...) read as U^a1 L^b1 U^a2 L^b2 and so on. A
+matrix is only its four entries; the continued fractions a word encodes are
+read off the matrix its product gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from .contfrac import _fold, even_cf_expand, sum_a
 from .rationals import ProjectiveRational, _quotient
@@ -22,13 +22,12 @@ class ParityError(ValueError):
 
 @dataclass(frozen=True)
 class SL2Matrix:
-    """Rows (q s / p r) with q*r - s*p = 1, optionally carrying its word."""
+    """Rows (q s / p r) with q*r - s*p = 1; the four entries are the whole value."""
 
     q: int
     s: int
     p: int
     r: int
-    word: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.q * self.r - self.s * self.p != 1:
@@ -43,15 +42,6 @@ class SL2Matrix:
             self.p * other.q + self.r * other.p,
             self.p * other.s + self.r * other.r,
         )
-
-    def __eq__(self, other) -> bool:
-        # The defining word is provenance, not part of the value.
-        if not isinstance(other, SL2Matrix):
-            return NotImplemented
-        return (self.q, self.s, self.p, self.r) == (other.q, other.s, other.p, other.r)
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.s, self.p, self.r))
 
     def inverse(self) -> "SL2Matrix":
         return SL2Matrix(self.r, -self.s, -self.p, self.q)
@@ -72,9 +62,9 @@ IDENTITY = SL2Matrix(1, 0, 0, 1)
 def generator_power(which: str, exponent: int) -> SL2Matrix:
     """U^e = (1 e / 0 1) or L^e = (1 0 / e 1)."""
     if which == "U":
-        return SL2Matrix(1, exponent, 0, 1, word=(exponent,))
+        return SL2Matrix(1, exponent, 0, 1)
     if which == "L":
-        return SL2Matrix(1, 0, exponent, 1, word=(0, exponent))
+        return SL2Matrix(1, 0, exponent, 1)
     raise ValueError(f"generator must be 'U' or 'L', got {which!r}")
 
 
@@ -89,25 +79,23 @@ def word_product(exponents: Iterable[int]) -> SL2Matrix:
     q, s, p, r = _fold(exps)
     if len(exps) % 2:
         q, s, p, r = s, q, r, p
-    return SL2Matrix(q, s, p, r, word=exps)
+    return SL2Matrix(q, s, p, r)
 
 
-def cf_entries_from_word(m: SL2Matrix) -> Tuple[ProjectiveRational, ...]:
-    """The four continued fractions a word matrix encodes.
+def cf_entries_from_word(word: Iterable[int]) -> Tuple[ProjectiveRational, ...]:
+    """The four continued fractions a nonempty exponent word encodes.
 
-    Returns (q/p, s/r, q/s, p/r): the values of the word, the word without
-    its last entry, the reversed word, and the reversed word without its last
-    entry, a word of odd length being padded with a final zero. These are
-    identities of the fold of symmetric (c 1 / 1 0) behind ``word_product``,
-    so the one check here is that the stored word produces the matrix; the
-    oracle certifies the identities along ``c + 1/x`` steps.
+    With (q s / p r) = ``word_product(word)``, returns (q/p, s/r, q/s, p/r):
+    the values of the word, the word without its last entry, the reversed
+    word, and the reversed word without its last entry, a word of odd length
+    being padded with a final zero. These are identities of the fold of
+    symmetric (c 1 / 1 0) behind ``word_product``; the oracle certifies them
+    along ``c + 1/x`` steps.
     """
-    if m.word is None:
-        raise ValueError("matrix does not carry a defining word")
-    if len(m.word) == 0:
+    word = tuple(word)
+    if not word:
         raise ValueError("the empty word has no continued-fraction entries")
-    if word_product(m.word) != m:
-        raise ArithmeticError(f"word {m.word} does not produce ({m.q} {m.s} / {m.p} {m.r})")
+    m = word_product(word)
     return (
         _quotient(m.q, m.p),
         _quotient(m.s, m.r),

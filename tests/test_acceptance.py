@@ -114,7 +114,7 @@ def test_route_equivalence():
     ok = True
     for x in sample_odd_slopes(10**4, seed=20260808):
         basis = change_of_basis(x)
-        inverse = word_product(tuple(-e for e in reversed(basis.word)))
+        inverse = basis.inverse()
         if basis.determinant() != 1 or inverse.determinant() != 1:
             ok = False
             break

@@ -67,6 +67,18 @@ class TestConvertRange:
         assert code == 0
         assert out == ""
 
+    def test_non_integer_bound_fails(self, capsys):
+        code, out, err = run(capsys, "convert-range", "x", "1", "3")
+        assert (code, out, err) == (1, "", "error: not an integer: 'x'\n")
+
+    @pytest.mark.parametrize("argv", [("1" * 5001, "1", "3"), ("7", "1", "3" * 5000 + "x")])
+    def test_huge_bound_error_is_short(self, capsys, argv):
+        code, _, err = run(capsys, "convert-range", *argv)
+        assert code == 1
+        assert err.startswith("error: not an integer: '")
+        assert "(5001 characters)" in err
+        assert len(err.encode()) < 200
+
 
 class TestSlopes:
     @pytest.mark.parametrize("arg,line", sorted(SLOPES_LINES.items()))
@@ -90,6 +102,18 @@ class TestSlopes:
         code, _, err = run(capsys, "slopes", "(3/5)")
         assert code == 1
         assert "normalize" in err
+
+    def test_missing_denominator_fails(self, capsys):
+        code, _, err = run(capsys, "slopes", "33/")
+        assert (code, err) == (1, "error: not an integer: ''\n")
+
+    @pytest.mark.parametrize("arg", ["7/" + "1" * 5000 + "z", "1" * 5001])
+    def test_huge_junk_error_is_short(self, capsys, arg):
+        code, _, err = run(capsys, "slopes", "--both", arg)
+        assert code == 1
+        assert err.startswith("error: not an integer: '1111")
+        assert "(5001 characters)" in err
+        assert len(err.encode()) < 200
 
 
 class TestTupleCommands:

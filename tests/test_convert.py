@@ -10,8 +10,11 @@ from tunnelslopes import (
     change_of_basis,
     conversion_word,
     convert_range,
+    even_cf_expand,
     st_convert,
     st_convert_via_matrix,
+    sum_a,
+    word_product,
 )
 
 KNOWN_CONVERSIONS = [
@@ -112,6 +115,31 @@ def test_route_equivalence(q, p):
         return
     x = Fraction(q, p)
     assert st_convert(x) == st_convert_via_matrix(x)
+
+
+even_denominators = st.integers(1, 5000).map(lambda m: 2 * m)
+# (p +- 1)/p and (2k+1) + 1/N have Theta(p) and Theta(N) long expansions;
+# p and N are even so that the numerator is odd.
+adversarial_slopes = st.one_of(
+    st.builds(lambda p, sign: Fraction(p + sign, p), even_denominators, st.sampled_from((1, -1))),
+    st.builds(lambda k, n: 2 * k + 1 + Fraction(1, n), st.integers(-500, 499), even_denominators),
+    st.builds(Fraction, odd_numerators, denominators),
+)
+
+
+@given(adversarial_slopes, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_matrix_route_matches_word_reference(x, negate):
+    # The reference route folds the change-of-basis word built here and
+    # inverts it as the reversed negated word, which holds for odd lengths.
+    x = -x if negate else x
+    expansion = even_cf_expand(x)
+    twist = 2 * sum_a(expansion) * (1 if x.denominator % 2 else -1)
+    word = expansion.entries() + (twist,)
+    assert len(word) % 2
+    assert change_of_basis(x) == word_product(word)
+    reference = word_product(-e for e in reversed(word)).first_column_slope()
+    assert st_convert_via_matrix(x) == reference
 
 
 @given(st.integers(-10**6, 10**6).map(lambda n: 2 * n + 1))
