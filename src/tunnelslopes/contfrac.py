@@ -15,14 +15,16 @@ Every rational q/p has exactly one expansion of the shape
 
 with every entry nonzero except possibly the leading 2a1, with bk carrying
 the parity of p, and with ak and bk sharing a sign whenever bk is 1 or -1.
-``even_cf_expand`` computes it by a greedy Euclidean descent: each
-even-forced position takes the even integer nearest the current value and
-recurses on the reciprocal of the remainder. Denominators strictly decrease,
-so the walk ends on an integer. An integer u reached on an even-forced
-position is split as (u - 1) + 1/1 or (u + 1) + 1/(-1), which is exactly the
-sign normalization the closing pair needs; no backtracking is ever required
-because nearest-even ties would need an odd integer at a non-terminal
-position, and the descent never produces one.
+``even_cf_expand`` computes it by a greedy Euclidean descent that fills the
+a and b entries in turn: each even-forced position takes the even integer
+nearest the current value, stores its half, and recurses on the reciprocal
+of the remainder. Denominators strictly decrease, so the walk ends on an
+integer, which a b position stores whole as bk. An integer u reached on an
+a position is either 2ak itself (u even) or split as (u - 1) + 1/1 or
+(u + 1) + 1/(-1), which is exactly the sign normalization the closing pair
+needs; no backtracking is ever required because nearest-even ties would
+need an odd integer at a non-terminal position, and the descent never
+produces one.
 """
 
 from __future__ import annotations
@@ -127,39 +129,26 @@ def _nearest_even(x: Fraction) -> int:
 def even_cf_expand(x) -> EvenCF:
     """The unique constraint-satisfying even expansion of a rational."""
     x = Fraction(x)
-    raw: list[int] = []
+    a: list[int] = []
+    b: list[int] = []
     at_a_slot = True
     while True:
         u, v = x.numerator, x.denominator
         if v == 1:
             if not at_a_slot:
-                raw.append(u)  # closing bk, parity forced by the descent
-                break
-            if u % 2 == 0:
-                raw.append(u)  # closing 2ak, the even-numerator form
-                break
-            if u > 0:
-                raw.extend((u - 1, 1))
+                b.append(u)  # closing bk, parity forced by the descent
+            elif u % 2 == 0:
+                a.append(u // 2)  # closing 2ak, the even-numerator form
             else:
-                raw.extend((u + 1, -1))
+                sign = 1 if u > 0 else -1
+                a.append((u - sign) // 2)
+                b.append(sign)
             break
         e = _nearest_even(x)
-        raw.append(e)
+        (a if at_a_slot else b).append(e // 2)
         x = 1 / (x - e)
         at_a_slot = not at_a_slot
-    return _even_cf_from_raw(raw)
-
-
-def _even_cf_from_raw(raw: Sequence[int]) -> EvenCF:
-    has_final_b = len(raw) % 2 == 0
-    a_raw = raw[0::2]
-    b_raw = raw[1::2]
-    a_entries = tuple(e // 2 for e in a_raw)
-    if has_final_b:
-        b_entries = tuple(e // 2 for e in b_raw[:-1]) + (b_raw[-1],)
-    else:
-        b_entries = tuple(e // 2 for e in b_raw)
-    return EvenCF(a_entries, b_entries, has_final_b)
+    return EvenCF(tuple(a), tuple(b), len(b) == len(a))
 
 
 def sum_a(e: EvenCF) -> int:

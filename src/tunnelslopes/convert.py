@@ -7,8 +7,9 @@ The map between them is an involution: expand the input q/p (q odd) as
 
     [(+-1)*2a, -bn, -2an, -2b(n-1), ..., -2a2, -2b1],    a = a1 + ... + an,
 
-where the leading sign is minus for p odd and plus for p even. The result
-q'/p satisfies q*q' = -1 (mod p), and an odd integer simply negates.
+where the leading sign is minus for p odd and plus for p even: the word is
+that lead followed by the expansion after 2a1, reversed and negated. The
+result q'/p satisfies q*q' = -1 (mod p), and an odd integer simply negates.
 
 ``st_convert_via_matrix`` reaches the same value along an independent route:
 the slope of the first column of the inverse of the change-of-basis matrix.
@@ -31,15 +32,10 @@ def conversion_word(x) -> Tuple[int, ...]:
     if x.numerator % 2 == 0:
         raise ParityError(f"conversion needs an odd numerator, got {x}")
     expansion = even_cf_expand(x)
-    a, b = expansion.a_entries, expansion.b_entries
     lead = 2 * sum_a(expansion)
     if x.denominator % 2 == 1:
         lead = -lead
-    word = [lead, -b[-1]]
-    for i in range(len(a) - 1, 0, -1):
-        word.append(-2 * a[i])
-        word.append(-2 * b[i - 1])
-    return tuple(word)
+    return (lead,) + tuple(-c for c in reversed(expansion.entries()[1:]))
 
 
 def st_convert(x) -> Fraction:

@@ -5,12 +5,15 @@ of b to a normalizes it so that |b/a| > 1, and either of the two admissible
 residues may be used. The even expansion of the normalized fraction is then
 rewritten so every upper entry is a single full twist (each 2ai becomes
 [2, 0, 2, ..., 2] with matching signs), one cabling per unit. Walking the
-units from the last to the first yields an explicit twist count k for each
-cabling and from it the cabling slope, 2 + 1/k or -2 + 1/k depending on a
-strand parity that the final lower entry controls. The first cabling instead
-contributes a residue mod 1. All of the selection bits are zero for these
-tunnels. ``make_form`` is the one validation of b/a; the records it builds
-are not checked again, and ``oracle.unit_rewrite_check`` certifies the units.
+units from the last to the first yields the twist count of each cabling,
+k = 2b + (e + e')/2 from the signs e, e' of a unit and its predecessor and
+the lower entry b between them, and from it the cabling slope, 2 + 1/k or
+-2 + 1/k depending on a strand parity that the final lower entry controls.
+The first cabling instead contributes the residue k1/(2k1 + 1) mod 1, where
+k1 is the final lower entry, less one when the last unit is negative. All of
+the selection bits are zero for these tunnels. ``make_form`` is the one
+validation of b/a; the records it builds are not checked again, and
+``oracle.unit_rewrite_check`` certifies the units.
 """
 
 from __future__ import annotations
@@ -137,27 +140,20 @@ def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
 def cabling_steps(form: TwoBridgeForm) -> Tuple[ResidueSlope, Tuple[CablingStep, ...]]:
     """The first-cabling residue and the later cablings in construction order."""
     unit_a, unit_b = form.unit_a, form.unit_b
-    count = len(unit_a)
     b_last = unit_b[-1]
-    if unit_a[-1] == 1:
-        k_first = b_last
-        m0 = residue_of(Fraction(b_last, 2 * b_last + 1))
-    else:
-        k_first = b_last - 1
-        m0 = residue_of(Fraction(b_last - 1, 2 * b_last - 1))
+    k_first = b_last - (unit_a[-1] < 0)
     if k_first == 0:
         raise CablingContradictionError("first cabling has twist count 0")
+    m0 = residue_of(Fraction(k_first, 2 * k_first + 1))
     steps: List[CablingStep] = []
-    for i in range(count - 1, 0, -1):
+    for i in range(len(unit_a) - 1, 0, -1):
         successor = unit_a[i]
         current = unit_a[i - 1]
-        b_i = unit_b[i - 1]
-        if successor == 1:
-            parity = "even" if (b_last + 1) % 2 == 0 else "odd"
-            k = 2 * b_i + 1 if current == 1 else 2 * b_i
-        else:
-            parity = "even" if b_last % 2 == 0 else "odd"
-            k = 2 * b_i if current == 1 else 2 * b_i - 1
+        # With unit signs e = successor and e' = current, the twist count is
+        # k = 2*b(i-1) + (e + e')/2, and the strand parity is that of
+        # b_last + (e + 1)/2.
+        k = 2 * unit_b[i - 1] + (successor + current) // 2
+        parity = "even" if (b_last + (successor + 1) // 2) % 2 == 0 else "odd"
         steps.append(CablingStep(index=i, k=k, parity=parity))
     return m0, tuple(steps)
 
