@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Dict, Iterator, List, Tuple
 
@@ -51,33 +52,18 @@ def _eval_raw(entries: Tuple[ProjectiveRational, ...]) -> ProjectiveRational:
 def _candidate_sequences(
     length: int, max_entry: int, enforce_sign_rule: bool
 ) -> Iterator[Tuple[int, ...]]:
-    evens = [e for e in range(-max_entry, max_entry + 1) if e % 2 == 0]
+    entries = range(-max_entry, max_entry + 1)
+    evens = [e for e in entries if e % 2 == 0]
     evens_nonzero = [e for e in evens if e != 0]
-    nonzero = [e for e in range(-max_entry, max_entry + 1) if e != 0]
-
-    def extend(prefix: List[int]) -> Iterator[Tuple[int, ...]]:
-        i = len(prefix)
-        if i == length:
-            yield tuple(prefix)
-            return
-        if i % 2 == 0:
-            choices = evens if i == 0 else evens_nonzero
-        elif i == length - 1:
-            choices = []
-            for e in nonzero:
-                if enforce_sign_rule and abs(e) == 1:
-                    a_prev = prefix[-1]
-                    if a_prev != 0 and (a_prev > 0) != (e > 0):
-                        continue
-                choices.append(e)
-        else:
-            choices = evens_nonzero
-        for e in choices:
-            prefix.append(e)
-            yield from extend(prefix)
-            prefix.pop()
-
-    yield from extend([])
+    choices = [evens] + [evens_nonzero] * (length - 1)
+    closing_b = length % 2 == 0
+    if closing_b:
+        choices[-1] = [e for e in entries if e != 0]
+    sign_rule = enforce_sign_rule and closing_b
+    for seq in product(*choices):
+        # The closing pair (ak, +-1) must share a sign.
+        if not (sign_rule and abs(seq[-1]) == 1 and seq[-2] * seq[-1] < 0):
+            yield seq
 
 
 def enumerate_even_cfs(
