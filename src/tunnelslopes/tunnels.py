@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .rationals import INFINITY, ResidueSlope, _excerpt, render
+from .rationals import INFINITY, ResidueSlope, _excerpt, render, residue_of
 
 
 class ValidationError(ValueError):
@@ -153,17 +153,16 @@ def parse(text: str) -> TunnelParams:
     match = _RESIDUE_RE.match(text)
     if not match:
         raise ParseError("expected a residue of the form '[ p/q ]'", 0)
-    num = int(match.group(1))
-    if match.group(2) is None:
-        m0 = ResidueSlope(Fraction(num) % 1)
-    else:
-        den = int(match.group(2))
-        if den == 0:
-            if num == 0:
-                raise ParseError("residue 0/0 is degenerate", match.start(1))
-            m0 = ResidueSlope(INFINITY)
-        else:
-            m0 = ResidueSlope(Fraction(num, den) % 1)
+    parts = []
+    for g in (1, 2):
+        try:
+            parts.append(int(match.group(g) or 1))
+        except ValueError:  # past the int/str digit limit
+            raise ParseError(f"bad residue {_excerpt(match.group(g))}", match.start(g)) from None
+    num, den = parts
+    if num == den == 0:
+        raise ParseError("residue 0/0 is degenerate", match.start(1))
+    m0 = residue_of(INFINITY if den == 0 else Fraction(num, den))
     rest = text[match.end():]
     offset = match.end()
     slope_part, semicolon, bits_part = rest.partition(";")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import tunnelslopes.cli
 from tunnelslopes.cli import main
+from tunnelslopes.oracle import OracleReport
 
 CONVERT_RANGE_BLOCK = """\
 17255/100102, -2843767/100102
@@ -178,6 +180,23 @@ class TestTupleCommands:
         assert code == 1
         assert "link" in err
 
+    def test_link_json(self, capsys):
+        code, out, _ = run(capsys, "link", "--json", "[ 1/2 ]")
+        assert code == 0
+        assert json.loads(out) == {
+            "m0": "1/2",
+            "slopes": [],
+            "binaries": [],
+            "class": "SimpleLink",
+            "target": "Link",
+            "linking_number": 1,
+        }
+
+    def test_link_json_rejects_knots(self, capsys):
+        code, out, err = run(capsys, "link", "--json", "[ 1/3 ], 3, 5/3 ; 0")
+        assert (code, out) == (1, "")
+        assert "link" in err
+
     def test_parse_error_reports_position(self, capsys):
         code, _, err = run(capsys, "classify", "nonsense")
         assert code == 1
@@ -188,6 +207,8 @@ class TestTupleCommands:
         [
             ("[ 1/3 ], " + "3" * 5001, "error: bad slope '3333"),
             ("[ 1/3 ], 3, 5/3 ; 0" + "2" * 5000, "error: binary string '0222"),
+            ("[ " + "1" * 5001 + "/7 ]", "error: bad residue '1111"),
+            ("[ 1/" + "1" * 5001 + " ]", "error: bad residue '1111"),
         ],
     )
     def test_huge_bad_token_error_is_short(self, capsys, params, prefix):
@@ -195,6 +216,7 @@ class TestTupleCommands:
         assert code == 1
         assert err.startswith(prefix)
         assert "(5001 characters)" in err
+        assert "position" in err
         assert len(err.encode()) < 200
 
 
@@ -205,3 +227,11 @@ def test_selfcheck(capsys):
     assert "cf/matrix dictionary: ok" in out
     assert "2-bridge unit rewrite: ok (164 checked)" in out
     assert out.endswith("selfcheck: ok\n")
+
+
+def test_selfcheck_failure_exits_nonzero(capsys, monkeypatch):
+    failing = [OracleReport("even-cf uniqueness", 1, ("3: expand disagrees",))]
+    monkeypatch.setattr(tunnelslopes.cli, "selfcheck", lambda: failing)
+    code, out, _ = run(capsys, "selfcheck")
+    assert code == 1
+    assert out.endswith("selfcheck: FAIL\n")

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from tunnelslopes import (
+    CablingContradictionError,
     CablingStep,
     EvenCF,
     LinkInvariantError,
@@ -122,6 +123,10 @@ class TestMakeForm:
         with pytest.raises(ValueError):
             make_form(5, 0)
 
+    def test_non_coprime_rejected(self):
+        with pytest.raises(ValueError, match="^9 and 3 are not coprime$"):
+            make_form(9, 3)
+
     def test_negative_pair_canonicalized(self):
         assert (make_form(-33, -19).b, make_form(-33, -19).a) == (33, 19)
 
@@ -149,6 +154,10 @@ class TestUnitRewrite:
         with pytest.raises(ValueError):
             unit_rewrite(even_cf_expand(Fraction(2)))
 
+    def test_zero_a_entry_rejected(self):
+        with pytest.raises(ValueError, match="every a entry nonzero"):
+            unit_rewrite(EvenCF((0,), (-1,), True))
+
 
 class TestCablingStep:
     def test_step_invariant_enforced(self):
@@ -157,10 +166,17 @@ class TestCablingStep:
             CablingStep(index=1, k=3, parity="even", slope=Fraction(5, 2))
 
     def test_zero_twist_rejected(self):
-        from tunnelslopes import CablingContradictionError
-
         with pytest.raises(CablingContradictionError):
             CablingStep(index=1, k=0, parity="even")
+
+    def test_unknown_parity_rejected(self):
+        with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'both'"):
+            CablingStep(1, 3, "both")
+
+    def test_zero_first_twist_rejected(self):
+        form = replace(make_form(33, 19), unit_a=(1, 1, -1))
+        with pytest.raises(CablingContradictionError, match="^first cabling has twist count 0$"):
+            cabling_steps(form)
 
     def test_steps_emitted_in_descending_unit_order(self):
         m0, steps = cabling_steps(make_form(33, 19))
@@ -179,6 +195,61 @@ class TestCablingStep:
             else:
                 standard = -2 + Fraction(1, b_last)
             assert m0 == residue_of(1 / standard)
+
+
+def reference_cabling_steps(form):
+    """The four-case walk that the twist-count formula replaced."""
+    unit_a, unit_b = form.unit_a, form.unit_b
+    b_last = unit_b[-1]
+    if unit_a[-1] == 1:
+        m0 = residue_of(Fraction(b_last, 2 * b_last + 1))
+    else:
+        m0 = residue_of(Fraction(b_last - 1, 2 * b_last - 1))
+    steps = []
+    for i in range(len(unit_a) - 1, 0, -1):
+        successor, current, b_i = unit_a[i], unit_a[i - 1], unit_b[i - 1]
+        if successor == 1:
+            parity = "even" if (b_last + 1) % 2 == 0 else "odd"
+            k = 2 * b_i + 1 if current == 1 else 2 * b_i
+        else:
+            parity = "even" if b_last % 2 == 0 else "odd"
+            k = 2 * b_i if current == 1 else 2 * b_i - 1
+        steps.append((i, k, parity))
+    return m0, steps
+
+
+def forms_with_wide_blocks(count, seed):
+    """Forms built from even expansions with a lower entry |bi| >= 50 between
+    two blocks of units, the range the golden outputs never reach."""
+    rng = random.Random(seed)
+
+    def signed(lo, hi):
+        return rng.choice((-1, 1)) * rng.randint(lo, hi)
+
+    forms = []
+    for _ in range(count):
+        k = rng.randint(2, 5)
+        a = [signed(1, 3) for _ in range(k)]
+        b = [signed(1, 60) for _ in range(k - 1)]
+        b[rng.randrange(k - 1)] = signed(50, 10**4)
+        b_last = signed(1, 9)
+        if abs(b_last) == 1:
+            b_last = 1 if a[-1] > 0 else -1
+        expansion = EvenCF(tuple(a), tuple(b) + (b_last,), True)
+        x = expansion.value()
+        form = make_form(x.numerator, x.denominator)
+        assert form.expansion == expansion
+        forms.append(form)
+    return forms
+
+
+def test_cabling_formula_matches_four_case_walk():
+    small = [make_form(b, a) for b in range(3, 40, 2) for a in range(1 - b, b) if gcd(b, a) == 1]
+    wide = forms_with_wide_blocks(200, seed=5)
+    assert sum(any(abs(b) >= 50 for b in f.unit_b[:-1]) for f in wide) >= 50
+    for form in small + wide:
+        m0, steps = cabling_steps(form)
+        assert (m0, [(s.index, s.k, s.parity) for s in steps]) == reference_cabling_steps(form)
 
 
 def random_invariants(count, seed, bound=99999):
