@@ -1,18 +1,21 @@
 """Batch command line for the slope calculators.
 
 Payload lines are stable and prompt-free: exact rational rendering, one
-result per line. Errors go to stderr and exit nonzero. Arguments may be
-wrapped in parentheses, so `convert "(59/35)"` works as written.
+result per line, printed as soon as it is computed. Errors go to stderr and
+exit nonzero; a reader that closes stdout early ends the command quietly with
+status 141. Arguments may be wrapped in parentheses, so `convert "(59/35)"`
+works as written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .convert import convert_range, st_convert
+from .convert import _range_pairs, st_convert
 from .oracle import selfcheck
 from .rationals import _excerpt, parse_rational, render
 from .tunnels import (
@@ -62,7 +65,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_convert_range(args: argparse.Namespace) -> int:
     bounds = (_integer(args.p), _integer(args.q_lo), _integer(args.q_hi))
-    for left, right in convert_range(*bounds):
+    for left, right in _range_pairs(*bounds):
         print(f"{render(left)}, {render(right)}")
     return 0
 
@@ -172,7 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at the null device so the flush
+        # at exit cannot fail again, and exit as a shell reports a process
+        # that SIGPIPE ended (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

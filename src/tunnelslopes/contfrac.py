@@ -15,37 +15,81 @@ Every rational q/p has exactly one expansion of the shape
 
 with every entry nonzero except possibly the leading 2a1, with bk carrying
 the parity of p, and with ak and bk sharing a sign whenever bk is 1 or -1.
-``even_cf_expand`` computes it by a greedy Euclidean descent that fills the
-a and b entries in turn: each even-forced position takes the even integer
-nearest the current value, stores its half, and recurses on the reciprocal
-of the remainder. Denominators strictly decrease, so the walk ends on an
-integer, which a b position stores whole as bk. An integer u reached on an
-a position is either 2ak itself (u even) or split as (u - 1) + 1/1 or
-(u + 1) + 1/(-1), which is exactly the sign normalization the closing pair
-needs; no backtracking is ever required because nearest-even ties would
-need an odd integer at a non-terminal position, and the descent never
-produces one.
+The expansion is computed by a greedy Euclidean descent, ``_even_runs``,
+that fills the a and b positions in turn: each even-forced position takes the
+even integer nearest the current value and recurses on the reciprocal of the
+remainder. Denominators strictly decrease, so the walk ends on an integer,
+which a b position keeps whole as bk. An integer u reached on an a position
+is either 2ak itself (u even) or split as (u - 1) + 1/1 or (u + 1) + 1/(-1),
+which is exactly the sign normalization the closing pair needs; no
+backtracking is ever required because nearest-even ties would need an odd
+integer at a non-terminal position, and the descent never produces one.
+
+Near an odd integer the expansion is long and nearly constant: (p + 1)/p has
+about p entries, all but a few of them pairs (2, -2). Kraaikamp and Lopes
+("The theta group and the continued fraction expansion with even partial
+quotients", Geom. Dedicata, 1996) relate such a block of pairs to one
+regular partial quotient, and the descent emits it in closed form. At a
+value u/v with v > 0, s = sign(u) and d = |u| - v, when v < |u| < 2v and
+n = (v - 2d) // (2d) is at least 1, the next n pairs are all (2s, -2s) and
+leave (u - 2nsd)/(v - 2nd) at a position of the same parity; the descent
+emits them as one ``_Run(s, n)`` item and goes on from there. The pair folds
+to M = (-3 2s / -2s 1) = -I + N with N^2 = 0, so a run folds in one step as
+
+    M^n = (-1)^n (I - nN) = (-1)^n (1 + 2n, -2sn / 2sn, 1 - 2n),
+
+and conversion and change of basis cost a few steps per regular partial
+quotient instead of one per entry. ``even_cf_expand`` writes the runs out,
+since its a and b entries are the expansion itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .rationals import INFINITY, IndeterminateFormError, ProjectiveRational, _quotient
 
 
+class _Run(NamedTuple):
+    """``count`` consecutive pairs (2*sign, -2*sign) of a raw even word."""
+
+    sign: int
+    count: int
+
+
 def _fold(word: Iterable[ProjectiveRational]) -> Tuple[int, int, int, int]:
-    """The product (q s / p r) of (n d / d 0) over the entries n/d of a word."""
+    """The product (q s / p r) of (n d / d 0) over the entries n/d of a word.
+
+    A ``_Run`` of n pairs (2g, -2g) multiplies by their closed form
+    (-1)^n (1 + 2n, -2gn / 2gn, 1 - 2n).
+    """
     q, s, p, r = 1, 0, 0, 1
     for c in word:
         if type(c) is int:
             q, s, p, r = q * c + s, q, p * c + r, p
+        elif type(c) is _Run:
+            j = 2 * c.count
+            k = j * c.sign
+            q, s, p, r = q + j * q + k * s, s - j * s - k * q, p + j * p + k * r, r - j * r - k * p
+            if c.count % 2:
+                q, s, p, r = -q, -s, -p, -r
         else:
             n, d = (1, 0) if c is INFINITY else Fraction(c).as_integer_ratio()
             q, s, p, r = q * n + s * d, q * d, p * n + r * d, p * d
     return q, s, p, r
+
+
+def _expand(items: Iterable) -> List[int]:
+    """The raw word of a run-form word: each ``_Run`` written out in full."""
+    raw: List[int] = []
+    for c in items:
+        if type(c) is _Run:
+            raw += (2 * c.sign, -2 * c.sign) * c.count
+        else:
+            raw.append(c)
+    return raw
 
 
 def cf_eval(entries: Iterable[ProjectiveRational]) -> ProjectiveRational:
@@ -126,29 +170,46 @@ def _nearest_even(x: Fraction) -> int:
     return 2 * ((n + d) // (2 * d))
 
 
-def even_cf_expand(x) -> EvenCF:
-    """The unique constraint-satisfying even expansion of a rational."""
-    x = Fraction(x)
-    a: list[int] = []
-    b: list[int] = []
+def _even_runs(x: Fraction) -> Tuple[list, int]:
+    """The raw even expansion of x in run form, and the sum of its a entries."""
+    items: list = []
+    total_a = 0
     at_a_slot = True
     while True:
         u, v = x.numerator, x.denominator
         if v == 1:
-            if not at_a_slot:
-                b.append(u)  # closing bk, parity forced by the descent
-            elif u % 2 == 0:
-                a.append(u // 2)  # closing 2ak, the even-numerator form
-            else:
+            if at_a_slot and u % 2:
                 sign = 1 if u > 0 else -1
-                a.append((u - sign) // 2)
-                b.append(sign)
-            break
+                items += (u - sign, sign)  # 2ak + 1/bk with bk = sign
+                total_a += (u - sign) // 2
+            else:
+                items.append(u)  # closing 2ak, or bk with its parity forced
+                total_a += u // 2 if at_a_slot else 0
+            return items, total_a
+        d = abs(u) - v
+        if 0 < 4 * d <= v:
+            # 1 < |x| < 2 with at least one whole pair (2s, -2s) ahead.
+            s = 1 if u > 0 else -1
+            n = (v - 2 * d) // (2 * d)
+            items.append(_Run(s, n))
+            total_a += s * n if at_a_slot else -s * n
+            x = Fraction(u - 2 * n * s * d, v - 2 * n * d)
+            continue
         e = _nearest_even(x)
-        (a if at_a_slot else b).append(e // 2)
+        items.append(e)
+        total_a += e // 2 if at_a_slot else 0
         x = 1 / (x - e)
         at_a_slot = not at_a_slot
-    return EvenCF(tuple(a), tuple(b), len(b) == len(a))
+
+
+def even_cf_expand(x) -> EvenCF:
+    """The unique constraint-satisfying even expansion of a rational."""
+    raw = _expand(_even_runs(Fraction(x))[0])
+    has_final_b = len(raw) % 2 == 0
+    b = [c // 2 for c in raw[1::2]]
+    if has_final_b:
+        b[-1] = raw[-1]  # the closing bk is stored whole
+    return EvenCF(tuple(c // 2 for c in raw[0::2]), tuple(b), has_final_b)
 
 
 def sum_a(e: EvenCF) -> int:

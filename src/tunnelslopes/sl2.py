@@ -3,7 +3,10 @@
 U is upper unitriangular, L lower unitriangular. A word is a sequence of
 exponents (a1, b1, a2, b2, ...) read as U^a1 L^b1 U^a2 L^b2 and so on. A
 matrix is only its four entries; the continued fractions a word encodes are
-read off the matrix its product gives.
+read off the matrix its product gives. ``change_of_basis`` folds the even
+expansion in its run form, each run of pairs (2g, -2g) as one closed-form
+matrix (see ``contfrac``), so its cost follows the regular partial quotients
+of the slope rather than the length of the expansion.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .contfrac import _fold, even_cf_expand, sum_a
+from .contfrac import _even_runs, _fold
 from .rationals import ProjectiveRational, _quotient
 
 
@@ -114,8 +117,11 @@ def change_of_basis(x) -> SL2Matrix:
     x = Fraction(x)
     if x.numerator % 2 == 0:
         raise ParityError(f"change of basis needs an odd numerator, got {x}")
-    expansion = even_cf_expand(x)
-    twist = 2 * sum_a(expansion)
+    items, total_a = _even_runs(x)
+    twist = 2 * total_a
     if x.denominator % 2 == 0:
         twist = -twist
-    return word_product(expansion.entries() + (twist,))
+    # An odd numerator closes the expansion on bk, so the raw word is of even
+    # length and the twist makes it odd: swap the columns as word_product does.
+    s, q, r, p = _fold(items + [twist])
+    return SL2Matrix(q, s, p, r)

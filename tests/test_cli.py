@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import tunnelslopes.cli
+import tunnelslopes.convert
 from tunnelslopes.cli import main
 from tunnelslopes.oracle import OracleReport
 
@@ -21,6 +27,14 @@ SLOPES_LINES = {
     "(3860981/2689048)": "[ 13/27 ], 3, 3, 3, 5/3, 3, 7/3, 15/8, -5/3, -1, -3",
     "(5272967/2616517)": "[ 5/9 ], 11/5, 21/10, -23/11, -131/66",
 }
+
+
+def cli_argv(*args):
+    return [sys.executable, "-m", "tunnelslopes.cli", *args]
+
+
+def cli_env():
+    return {**os.environ, "PYTHONPATH": str(Path(tunnelslopes.cli.__file__).parents[1])}
 
 
 def run(capsys, *argv):
@@ -58,6 +72,27 @@ class TestConvert:
         assert len(err.encode()) < 200
 
 
+    def test_stdout_closed_before_output(self):
+        # A short payload reaches the pipe only when main flushes it.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                cli_argv("convert", "55"), stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=60
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_huge_parabolic_slope(self, capsys):
+        n = 10**300
+        start = time.perf_counter()
+        code, out, err = run(capsys, "convert", f"({n + 1}/{n})")
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert out == f"{n * n + n - 1}/{n}\n"
+
+
 class TestConvertRange:
     def test_reference_block(self, capsys):
         code, out, _ = run(capsys, "convert-range", "100102", "17255", "17265")
@@ -72,6 +107,38 @@ class TestConvertRange:
     def test_non_integer_bound_fails(self, capsys):
         code, out, err = run(capsys, "convert-range", "x", "1", "3")
         assert (code, out, err) == (1, "", "error: not an integer: 'x'\n")
+
+    @pytest.mark.parametrize("argv", [("0", "1", "3"), ("-7", "1", "3"), ("7", "3", "1")])
+    def test_bad_bounds_fail_before_output(self, capsys, argv):
+        code, out, err = run(capsys, "convert-range", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_lines_stream(self, capsys, monkeypatch):
+        # Each line is printed as its pair is computed: a failure at the
+        # second pair leaves the first line out already.
+        convert = tunnelslopes.convert.st_convert
+        calls = []
+
+        def failing_after_one(x):
+            calls.append(x)
+            if len(calls) > 1:
+                raise ArithmeticError("stop")
+            return convert(x)
+
+        monkeypatch.setattr(tunnelslopes.convert, "st_convert", failing_after_one)
+        code, out, err = run(capsys, "convert-range", "100102", "17255", "17265")
+        assert (code, out, err) == (1, CONVERT_RANGE_BLOCK.splitlines(True)[0], "error: stop\n")
+
+    def test_closed_stdout_exits_quietly(self):
+        # The reader goes away after one line of a long range: no traceback,
+        # and the status a shell gives a process that SIGPIPE ended.
+        argv = cli_argv("convert-range", "100001", "1", "400001")
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+        assert proc.stdout.readline() == b"1/100001, -1/100001\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
     @pytest.mark.parametrize("argv", [("1" * 5001, "1", "3"), ("7", "1", "3" * 5000 + "x")])
     def test_huge_bound_error_is_short(self, capsys, argv):

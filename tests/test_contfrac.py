@@ -8,11 +8,16 @@ from tunnelslopes import (
     EvenCF,
     IndeterminateFormError,
     cf_eval,
+    change_of_basis,
+    conversion_word,
     even_cf_expand,
     negate_cf,
     projective_add_invert,
+    st_convert,
     sum_a,
+    word_product,
 )
+from tunnelslopes.contfrac import _even_runs, _fold, _Run
 
 
 def reference_fold(word):
@@ -51,6 +56,10 @@ class TestCfEval:
 
     def test_infinite_tail_is_dropped(self):
         assert cf_eval([7, INFINITY]) == Fraction(7)
+
+    def test_tuple_entry_rejected(self):
+        with pytest.raises(TypeError):
+            cf_eval([2, (1, 3)])
 
     @given(st.lists(projective_entries, min_size=1, max_size=7))
     @settings(max_examples=500)
@@ -172,3 +181,91 @@ class TestEvenCfValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EvenCF((1, 2), (1,), True)
+
+
+def reference_even_cf_expand(x) -> EvenCF:
+    """The plain descent, one Fraction step per entry: the reference for the
+    run-form descent behind even_cf_expand, st_convert and change_of_basis."""
+    x = Fraction(x)
+    a: list = []
+    b: list = []
+    at_a_slot = True
+    while True:
+        u, v = x.numerator, x.denominator
+        if v == 1:
+            if not at_a_slot:
+                b.append(u)
+            elif u % 2 == 0:
+                a.append(u // 2)
+            else:
+                sign = 1 if u > 0 else -1
+                a.append((u - sign) // 2)
+                b.append(sign)
+            break
+        e = 2 * ((u + v) // (2 * v))
+        (a if at_a_slot else b).append(e // 2)
+        x = 1 / (x - e)
+        at_a_slot = not at_a_slot
+    return EvenCF(tuple(a), tuple(b), len(b) == len(a))
+
+
+def regular_cf_value(quotients):
+    x = Fraction(quotients[-1])
+    for c in reversed(quotients[:-1]):
+        x = c + 1 / x
+    return x
+
+
+signs = st.sampled_from((1, -1))
+# Runs of pairs (2s, -2s) come from values near odd integers, (p +- 1)/p and
+# (2k+1) +- 1/N, and from large regular partial quotients anywhere in the
+# expansion, so they start at a slots and at b slots and have odd and even
+# lengths; huge random numerators and odd integers have few or none.
+run_families = st.one_of(
+    st.builds(lambda p, d, s: s * Fraction(p + d, p), st.integers(1, 3000), signs, signs),
+    st.builds(lambda k, n, d: 2 * k + 1 + Fraction(d, n), st.integers(-50, 50), st.integers(2, 3000), signs),
+    st.builds(
+        lambda qs, s: s * regular_cf_value(qs),
+        st.lists(st.integers(1, 600), min_size=1, max_size=6),
+        signs,
+    ),
+    st.builds(Fraction, st.integers(-10**80, 10**80), st.integers(1, 10**80)),
+    st.integers(-10**6, 10**6).map(lambda n: Fraction(2 * n + 1)),
+)
+
+
+def reference_conversion_word(x, expansion):
+    lead = 2 * sum(expansion.a_entries) * (-1 if x.denominator % 2 else 1)
+    return (lead,) + tuple(-c for c in reversed(expansion.entries()[1:]))
+
+
+class TestRunFormAgainstReference:
+    @given(run_families)
+    @settings(max_examples=400, deadline=None)
+    def test_expansion_and_twist_sum(self, x):
+        reference = reference_even_cf_expand(x)
+        assert even_cf_expand(x) == reference
+        assert _even_runs(x)[1] == sum(reference.a_entries) == sum_a(reference)
+
+    @given(run_families)
+    @settings(max_examples=400, deadline=None)
+    def test_conversion_and_change_of_basis(self, x):
+        assume(x.numerator % 2)
+        reference = reference_even_cf_expand(x)
+        word = reference_conversion_word(x, reference)
+        assert conversion_word(x) == word
+        assert st_convert(x) == cf_eval(word)
+        assert change_of_basis(x) == word_product(reference.entries() + (-word[0],))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("count", range(7))
+    def test_run_fold_is_the_pair_fold(self, sign, count):
+        assert _fold([_Run(sign, count)]) == _fold([2 * sign, -2 * sign] * count)
+        assert _fold([3, _Run(sign, count), -5]) == _fold([3] + [2 * sign, -2 * sign] * count + [-5])
+
+    def test_runs_at_both_slots(self):
+        # (p + 1)/p opens on a run at an a slot, (p - 1)/p puts it at a b slot.
+        items, total = _even_runs(Fraction(10**6 + 1, 10**6))
+        assert items == [_Run(1, 499_999), 2, -2] and total == 500_000
+        items, total = _even_runs(Fraction(10**6 - 1, 10**6))
+        assert items == [0, _Run(1, 499_998), 2, -2, 2] and total == -499_999

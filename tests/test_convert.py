@@ -159,3 +159,25 @@ def test_seeded_bulk_sample_round_trips():
         assert st_convert(y) == x
         basis = change_of_basis(x)
         assert basis.determinant() == 1
+
+
+HUGE = 10**300
+
+
+@pytest.mark.parametrize("m", [1, -1, 7, -9])
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("n", [2, 4, 10, 998, 10**6, pytest.param(HUGE, id="10^300")])
+def test_near_odd_integer_closed_form(m, eps, n):
+    # m + eps/N with m odd and N even converts to eps*N + m - eps/N. At
+    # N = 10^300 the expansion has about 10^300 entries; in run form it is a
+    # handful of items, and conversion and change of basis take O(1) steps.
+    x = m + Fraction(eps, n)
+    y = st_convert(x)
+    assert y == eps * n + m - Fraction(eps, n)
+    assert (x.numerator * y.numerator + 1) % n == 0
+    assert st_convert(y) == x
+    basis = change_of_basis(x)
+    assert basis.determinant() == 1
+    assert basis.inverse().first_column_slope() == y
+    assert st_convert_via_matrix(x) == y
+
