@@ -4,7 +4,9 @@ Payload lines are stable and prompt-free: exact rational rendering, one
 result per line, printed as soon as it is computed. Errors go to stderr and
 exit nonzero; a reader that closes stdout early ends the command quietly with
 status 141. Arguments may be wrapped in parentheses, so `convert "(59/35)"`
-works as written.
+works as written. Arguments are read under Python's int/str digit limit, so an
+over-long integer is a short error; results are printed with the limit lifted,
+so an answer longer than its input still prints.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .convert import _range_pairs, st_convert
 from .oracle import selfcheck
 from .rationals import _excerpt, parse_rational, render
 from .tunnels import (
+    _rendered,
     Target,
     TunnelKind,
     TunnelParams,
@@ -53,18 +56,27 @@ def _parse_two_bridge(text: str):
     return _integer(text), 1
 
 
+def _lift_digit_limit() -> None:
+    """Lift the int/str digit limit once a command has read its arguments
+    (``main`` restores it); interpreters before 3.10.7 have no limit."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _slopes_line(t: TunnelParams) -> str:
-    return ", ".join([str(t.m0)] + [render(m) for m in t.slopes])
+    return ", ".join([str(t.m0), *_rendered(t.slopes)])
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
     x = parse_rational(_strip_parens(args.value))
+    _lift_digit_limit()
     print(render(st_convert(x)))
     return 0
 
 
 def cmd_convert_range(args: argparse.Namespace) -> int:
     bounds = (_integer(args.p), _integer(args.q_lo), _integer(args.q_hi))
+    _lift_digit_limit()
     for left, right in _range_pairs(*bounds):
         print(f"{render(left)}, {render(right)}")
     return 0
@@ -72,6 +84,7 @@ def cmd_convert_range(args: argparse.Namespace) -> int:
 
 def cmd_slopes(args: argparse.Namespace) -> int:
     b, a = _parse_two_bridge(_strip_parens(args.value))
+    _lift_digit_limit()
     forms = normalize_input(b, a) if args.both else [make_form(b, a)]
     for form in forms:
         print(_slopes_line(two_bridge_slopes(form)))
@@ -92,6 +105,7 @@ def _classification_line(t: TunnelParams) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     t = parse(args.params)
+    _lift_digit_limit()
     if args.json:
         print(json.dumps(to_export(t)))
         return 0
@@ -101,6 +115,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_mirror(args: argparse.Namespace) -> int:
     t = parse(args.params)
+    _lift_digit_limit()
     validate(t)
     mirrored = mirror(t)
     if args.json:
@@ -112,6 +127,7 @@ def cmd_mirror(args: argparse.Namespace) -> int:
 
 def cmd_link(args: argparse.Namespace) -> int:
     t = parse(args.params)
+    _lift_digit_limit()
     number = linking_number(t)
     if args.json:
         print(json.dumps(to_export(t)))
@@ -174,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         status = args.func(args)
         sys.stdout.flush()
@@ -187,6 +204,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -209,7 +209,8 @@ def even_cf_expand(x) -> EvenCF:
     b = [c // 2 for c in raw[1::2]]
     if has_final_b:
         b[-1] = raw[-1]  # the closing bk is stored whole
-    return EvenCF(tuple(c // 2 for c in raw[0::2]), tuple(b), has_final_b)
+    a = [c // 2 for c in raw[0::2]]  # a list sizes the tuple exactly; see two_bridge_slopes
+    return EvenCF(tuple(a), tuple(b), has_final_b)
 
 
 def sum_a(e: EvenCF) -> int:

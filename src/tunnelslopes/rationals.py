@@ -58,10 +58,14 @@ def reduce(numerator: int, denominator: int) -> Fraction:
 
 
 def render(x) -> str:
-    """Stable text form: integers bare, otherwise numerator/denominator."""
+    """Stable text form: integers bare, otherwise numerator/denominator.
+
+    Accepts INFINITY (rendered 1/0), ints and any rational; a ``Fraction`` is
+    formatted as it is, without being rebuilt.
+    """
     if x is INFINITY:
         return "1/0"
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

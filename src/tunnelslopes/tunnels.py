@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .rationals import INFINITY, ResidueSlope, _excerpt, render, residue_of
 
@@ -57,15 +57,26 @@ class TunnelClass:
 
 @dataclass(frozen=True)
 class TunnelParams:
-    """The cabling parameters (m0, m1, ..., mn; s2, ..., sn) of a tunnel."""
+    """The cabling parameters (m0, m1, ..., mn; s2, ..., sn) of a tunnel.
+
+    Slopes become ``Fraction``s and binaries ``int``s; a tuple that already
+    holds only those is kept as it is, with its elements shared.
+    """
 
     m0: ResidueSlope
     slopes: Tuple[Fraction, ...] = ()
     binaries: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "slopes", tuple(Fraction(m) for m in self.slopes))
-        object.__setattr__(self, "binaries", tuple(int(s) for s in self.binaries))
+        object.__setattr__(self, "slopes", _exact_tuple(self.slopes, Fraction))
+        object.__setattr__(self, "binaries", _exact_tuple(self.binaries, int))
+
+
+def _exact_tuple(values, kind) -> tuple:
+    """values as a tuple of exactly type kind, converting only what is not."""
+    if type(values) is tuple and all(type(v) is kind for v in values):
+        return values
+    return tuple(v if type(v) is kind else kind(v) for v in values)
 
 
 def validate(t: TunnelParams) -> TunnelClass:
@@ -135,11 +146,18 @@ def linking_number(t: TunnelParams) -> int:
     return abs(t.slopes[-1].numerator) // 2
 
 
+def _rendered(slopes: Tuple[Fraction, ...]) -> Iterator[str]:
+    """render of each slope, made once for a run of one shared object."""
+    last = text = None
+    for m in slopes:
+        if m is not last:
+            last, text = m, render(m)
+        yield text
+
+
 def serialize(t: TunnelParams) -> str:
     """Stable text form: '[ p/q ], m1, ..., mn ; s2...sn' (bits only when n >= 2)."""
-    parts = [str(t.m0)]
-    parts.extend(render(m) for m in t.slopes)
-    text = ", ".join(parts)
+    text = ", ".join([str(t.m0), *_rendered(t.slopes)])
     if len(t.slopes) >= 2:
         text += " ; " + "".join(str(s) for s in t.binaries)
     return text
@@ -200,7 +218,7 @@ def to_export(t: TunnelParams) -> Dict[str, object]:
     cls = validate(t)
     doc: Dict[str, object] = {
         "m0": render(t.m0.value),
-        "slopes": [render(m) for m in t.slopes],
+        "slopes": list(_rendered(t.slopes)),
         "binaries": list(t.binaries),
         "class": cls.kind.value,
         "target": cls.target.value,

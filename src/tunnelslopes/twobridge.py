@@ -7,11 +7,15 @@ rewritten so every upper entry is a single full twist (each 2ai becomes
 [2, 0, 2, ..., 2] with matching signs), one cabling per unit. Walking the
 units from the last to the first yields the twist count of each cabling,
 k = 2b + (e + e')/2 from the signs e, e' of a unit and its predecessor and
-the lower entry b between them, and from it the cabling slope, 2 + 1/k or
--2 + 1/k depending on a strand parity that the final lower entry controls.
-The first cabling instead contributes the residue k1/(2k1 + 1) mod 1, where
-k1 is the final lower entry, less one when the last unit is negative. All of
-the selection bits are zero for these tunnels. ``make_form`` is the one
+the lower entry b between them, and from it the cabling slope, 2 + 1/k =
+(2k + 1)/k or -2 + 1/k = (1 - 2k)/k depending on a strand parity that the
+final lower entry controls. One walk serves both ``cabling_steps``, which
+records each cabling as a ``CablingStep``, and ``two_bridge_slopes``, which
+builds each slope once, in lowest terms, and lets a run of equal consecutive
+slopes share one ``Fraction``. The first cabling instead contributes the
+residue k1/(2k1 + 1) mod 1, where k1 is the final lower entry, less one when
+the last unit is negative. All of the selection bits are zero for these
+tunnels. ``make_form`` is the one
 validation of b/a; the records it builds are not checked again, and
 ``oracle.unit_rewrite_check`` certifies the units.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .contfrac import EvenCF, even_cf_expand
 from .rationals import ResidueSlope, residue_of
@@ -41,6 +45,12 @@ class CablingContradictionError(RuntimeError):
     """A twist count of zero would mean a cabling of infinite slope."""
 
 
+def _cabling_slope(k: int, even: bool) -> Fraction:
+    """2 + 1/k = (2k + 1)/k for an even strand, -2 + 1/k = (1 - 2k)/k for an
+    odd one; both are in lowest terms, since a numerator is +-1 mod k."""
+    return Fraction(2 * k + 1 if even else 1 - 2 * k, k)
+
+
 @dataclass(frozen=True)
 class CablingStep:
     """One cabling beyond the first: its unit index, twist count k != 0 and
@@ -58,7 +68,7 @@ class CablingStep:
 
     @property
     def slope(self) -> Fraction:
-        return (2 if self.parity == "even" else -2) + Fraction(1, self.k)
+        return _cabling_slope(self.k, self.parity == "even")
 
 
 @dataclass(frozen=True)
@@ -137,29 +147,46 @@ def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
     return [make_form(b, residue), make_form(b, residue - b)]
 
 
-def cabling_steps(form: TwoBridgeForm) -> Tuple[ResidueSlope, Tuple[CablingStep, ...]]:
-    """The first-cabling residue and the later cablings in construction order."""
-    unit_a, unit_b = form.unit_a, form.unit_b
-    b_last = unit_b[-1]
-    k_first = b_last - (unit_a[-1] < 0)
+def _first_residue(form: TwoBridgeForm) -> ResidueSlope:
+    k_first = form.unit_b[-1] - (form.unit_a[-1] < 0)
     if k_first == 0:
         raise CablingContradictionError("first cabling has twist count 0")
-    m0 = residue_of(Fraction(k_first, 2 * k_first + 1))
-    steps: List[CablingStep] = []
+    return residue_of(Fraction(k_first, 2 * k_first + 1))
+
+
+def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, bool]]:
+    """(index, k, even) for each cabling after the first, in construction
+    order: unit index, twist count and whether the strand parity is even."""
+    unit_a, unit_b = form.unit_a, form.unit_b
+    b_last = unit_b[-1]
     for i in range(len(unit_a) - 1, 0, -1):
         successor = unit_a[i]
-        current = unit_a[i - 1]
-        # With unit signs e = successor and e' = current, the twist count is
-        # k = 2*b(i-1) + (e + e')/2, and the strand parity is that of
-        # b_last + (e + 1)/2.
-        k = 2 * unit_b[i - 1] + (successor + current) // 2
-        parity = "even" if (b_last + (successor + 1) // 2) % 2 == 0 else "odd"
-        steps.append(CablingStep(index=i, k=k, parity=parity))
-    return m0, tuple(steps)
+        # With unit signs e = successor and e' = unit_a[i - 1], the twist
+        # count is k = 2*b(i-1) + (e + e')/2, and the strand parity is that
+        # of b_last + (e + 1)/2.
+        k = 2 * unit_b[i - 1] + (successor + unit_a[i - 1]) // 2
+        if k == 0:
+            raise CablingContradictionError(f"cabling {i} has twist count 0")
+        yield i, k, (b_last + (successor + 1) // 2) % 2 == 0
+
+
+def cabling_steps(form: TwoBridgeForm) -> Tuple[ResidueSlope, Tuple[CablingStep, ...]]:
+    """The first-cabling residue and the later cablings in construction order."""
+    m0 = _first_residue(form)
+    return m0, tuple(CablingStep(i, k, "even" if even else "odd") for i, k, even in _walk(form))
 
 
 def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
-    """The full cabling-parameter tuple of the knot's depth-one tunnel."""
-    m0, steps = cabling_steps(form)
-    slopes = tuple(step.slope for step in steps)
-    return TunnelParams(m0, slopes, (0,) * max(len(slopes) - 1, 0))
+    """The full cabling-parameter tuple of the knot's depth-one tunnel; a run
+    of equal consecutive slopes shares one Fraction."""
+    m0 = _first_residue(form)
+    slopes: List[Fraction] = []
+    last_k, last_even, slope = 0, False, None
+    for _, k, even in _walk(form):
+        if k != last_k or even is not last_even:
+            last_k, last_even, slope = k, even, _cabling_slope(k, even)
+        slopes.append(slope)
+    # Built from a list, the tuple is allocated at its size. A tuple built
+    # from a generator is resized from 10 slots, and when freed it lands on
+    # a free list that only a full garbage collection empties.
+    return TunnelParams(m0, tuple(slopes), (0,) * max(len(slopes) - 1, 0))

@@ -29,6 +29,14 @@ SLOPES_LINES = {
 }
 
 
+# N = 10^2200, N + 1, and the numerator N^2 + N - 1 of st_convert((N + 1)/N),
+# written out as digits: the answer has 4401 digits, past Python's default
+# 4300-digit int/str limit.
+HUGE_N = "1" + "0" * 2200
+HUGE_N_PLUS_1 = "1" + "0" * 2199 + "1"
+HUGE_ANSWER = "1" + "0" * 2200 + "9" * 2200
+
+
 def cli_argv(*args):
     return [sys.executable, "-m", "tunnelslopes.cli", *args]
 
@@ -92,6 +100,39 @@ class TestConvert:
         assert (code, err) == (0, "")
         assert out == f"{n * n + n - 1}/{n}\n"
 
+    def test_answer_past_the_digit_limit_prints(self, capsys):
+        # (N + 1)/N converts to N + 1 - 1/N = (N^2 + N - 1)/N, the closed form
+        # of test_near_odd_integer_closed_form.
+        code, out, err = run(capsys, "convert", f"({HUGE_N_PLUS_1}/{HUGE_N})")
+        assert (code, err) == (0, "")
+        assert out == f"{HUGE_ANSWER}/{HUGE_N}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+class TestDigitLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("convert", f"({HUGE_N_PLUS_1}/{HUGE_N})"),
+            ("convert", "4/7"),
+            ("slopes", "(33/19)"),
+            ("classify", "[ 1/3 ], 3, 5/3 ; 0"),
+            ("convert", "1" * 5001),
+        ],
+    )
+    def test_limit_restored_after_main(self, capsys, argv):
+        before = sys.get_int_max_str_digits()
+        run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == before
+
+    def test_long_argument_fails_after_a_long_answer(self, capsys):
+        assert run(capsys, "convert", f"({HUGE_N_PLUS_1}/{HUGE_N})")[0] == 0
+        code, out, err = run(capsys, "convert", "1" * 5001)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: not a rational: '1111")
+        assert "(5001 characters)" in err
+        assert len(err.encode()) < 200
+
 
 class TestConvertRange:
     def test_reference_block(self, capsys):
@@ -139,6 +180,11 @@ class TestConvertRange:
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (141, b"")
+
+    def test_answer_past_the_digit_limit_prints(self, capsys):
+        code, out, err = run(capsys, "convert-range", HUGE_N, HUGE_N_PLUS_1, HUGE_N_PLUS_1)
+        assert (code, err) == (0, "")
+        assert out == f"{HUGE_N_PLUS_1}/{HUGE_N}, {HUGE_ANSWER}/{HUGE_N}\n"
 
     @pytest.mark.parametrize("argv", [("1" * 5001, "1", "3"), ("7", "1", "3" * 5000 + "x")])
     def test_huge_bound_error_is_short(self, capsys, argv):

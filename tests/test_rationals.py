@@ -53,6 +53,30 @@ class TestRender:
     def test_infinity(self):
         assert render(INFINITY) == "1/0"
 
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (0, "0"),
+            (-55, "-55"),
+            (-(10**30), "-1" + "0" * 30),
+            (Fraction(-299, 35), "-299/35"),
+            (Fraction(-1, 2), "-1/2"),
+            (Fraction(-14, 2), "-7"),
+            (Fraction(0), "0"),
+            (Fraction(10**30, 10), "1" + "0" * 29),
+            (INFINITY, "1/0"),
+        ],
+    )
+    def test_text_of_each_kind(self, value, text):
+        assert render(value) == text
+
+    def test_other_rationals_are_read_by_value(self):
+        class Tagged(Fraction):
+            def __str__(self):
+                return "tagged"
+
+        assert render(Tagged(6, 4)) == "3/2"
+
 
 class TestSlopePair:
     def test_direct_quotient(self):

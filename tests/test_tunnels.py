@@ -34,6 +34,24 @@ def params(m0, slopes=(), binaries=()):
 TREFOILISH = params(Fraction(1, 3), (3, Fraction(5, 3)), (0,))
 
 
+class TestTunnelParams:
+    def test_exact_tuples_are_kept(self):
+        slopes, binaries = (Fraction(3), Fraction(-5, 3)), (0,)
+        t = TunnelParams(residue_of(Fraction(1, 3)), slopes, binaries)
+        assert t.slopes is slopes
+        assert t.binaries is binaries
+
+    def test_other_values_are_converted(self):
+        class Tagged(Fraction):
+            pass
+
+        t = TunnelParams(residue_of(Fraction(1, 3)), [3, Tagged(5, 3), Fraction(7, 3)], [False, 1.0])
+        assert t.slopes == (Fraction(3), Fraction(5, 3), Fraction(7, 3))
+        assert [type(m) for m in t.slopes] == [Fraction] * 3
+        assert t.binaries == (0, 1)
+        assert [type(s) for s in t.binaries] == [int, int]
+
+
 class TestValidate:
     def test_trivial_knot(self):
         cls = validate(params(0))

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunnelslopes import (
     CablingContradictionError,
@@ -175,8 +176,15 @@ class TestCablingStep:
 
     def test_zero_first_twist_rejected(self):
         form = replace(make_form(33, 19), unit_a=(1, 1, -1))
-        with pytest.raises(CablingContradictionError, match="^first cabling has twist count 0$"):
-            cabling_steps(form)
+        for compute in (cabling_steps, two_bridge_slopes):
+            with pytest.raises(CablingContradictionError, match="^first cabling has twist count 0$"):
+                compute(form)
+
+    def test_zero_later_twist_rejected(self):
+        form = replace(make_form(33, 19), unit_a=(1, -1, 1))
+        for compute in (cabling_steps, two_bridge_slopes):
+            with pytest.raises(CablingContradictionError, match="^cabling 2 has twist count 0$"):
+                compute(form)
 
     def test_steps_emitted_in_descending_unit_order(self):
         m0, steps = cabling_steps(make_form(33, 19))
@@ -243,13 +251,63 @@ def forms_with_wide_blocks(count, seed):
     return forms
 
 
+def reference_slope(k, parity):
+    """The cabling slope as 2 + 1/k or -2 + 1/k, before the closed form."""
+    return (2 if parity == "even" else -2) + Fraction(1, k)
+
+
+def assert_matches_four_case_walk(form):
+    """cabling_steps and two_bridge_slopes, which share one walk, against the
+    four-case reference and the slope written as 2 + 1/k or -2 + 1/k."""
+    m0, steps = cabling_steps(form)
+    ref_m0, ref_steps = reference_cabling_steps(form)
+    assert (m0, [(s.index, s.k, s.parity) for s in steps]) == (ref_m0, ref_steps)
+    t = two_bridge_slopes(form)
+    assert t.m0 == m0
+    assert t.slopes == tuple(step.slope for step in steps)
+    assert t.slopes == tuple(reference_slope(k, parity) for _, k, parity in ref_steps)
+    assert t.binaries == (0,) * max(len(t.slopes) - 1, 0)
+
+
 def test_cabling_formula_matches_four_case_walk():
     small = [make_form(b, a) for b in range(3, 40, 2) for a in range(1 - b, b) if gcd(b, a) == 1]
     wide = forms_with_wide_blocks(200, seed=5)
     assert sum(any(abs(b) >= 50 for b in f.unit_b[:-1]) for f in wide) >= 50
     for form in small + wide:
-        m0, steps = cabling_steps(form)
-        assert (m0, [(s.index, s.k, s.parity) for s in steps]) == reference_cabling_steps(form)
+        assert_matches_four_case_walk(form)
+
+
+def signed(magnitude):
+    return st.tuples(st.sampled_from((-1, 1)), magnitude).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def forms_with_long_blocks(draw):
+    """Forms whose expansion has a entries up to 400 units long, so runs of
+    equal consecutive slopes are long."""
+    a = draw(st.lists(signed(st.integers(1, 400)), min_size=1, max_size=4))
+    b = draw(st.lists(signed(st.integers(1, 60)), min_size=len(a) - 1, max_size=len(a) - 1))
+    b_last = draw(signed(st.integers(1, 9)))
+    if abs(b_last) == 1:
+        b_last = 1 if a[-1] > 0 else -1
+    expansion = EvenCF(tuple(a), tuple(b) + (b_last,), True)
+    x = expansion.value()
+    form = make_form(x.numerator, x.denominator)
+    assert form.expansion == expansion
+    return form
+
+
+@given(forms_with_long_blocks())
+@settings(max_examples=200, deadline=None)
+def test_cabling_formula_matches_four_case_walk_on_long_blocks(form):
+    assert_matches_four_case_walk(form)
+
+
+def test_equal_consecutive_slopes_share_one_object():
+    slopes = two_bridge_slopes(make_form(200001, 199999)).slopes
+    runs = 1 + sum(m != prev for prev, m in zip(slopes, slopes[1:]))
+    assert len(slopes) > 1000 * runs
+    assert all(m is prev for prev, m in zip(slopes, slopes[1:]) if m == prev)
 
 
 def random_invariants(count, seed, bound=99999):
