@@ -204,6 +204,10 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # An expansion in a few runs can stand for more entries than memory holds.
+        print("error: out of memory: the result is too large to write out", file=sys.stderr)
+        return 1
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .rationals import INFINITY, IndeterminateFormError, ProjectiveRational, _quotient
 
@@ -103,13 +103,6 @@ def cf_eval(entries: Iterable[ProjectiveRational]) -> ProjectiveRational:
     return _quotient(q, p)
 
 
-def negate_cf(entries: Sequence[ProjectiveRational]) -> Tuple[ProjectiveRational, ...]:
-    """Entrywise negation; evaluation of the result is the negated value."""
-    if not entries:
-        raise ValueError("empty continued fraction")
-    return tuple(INFINITY if c is INFINITY else -Fraction(c) for c in entries)
-
-
 @dataclass(frozen=True)
 class EvenCF:
     """The even expansion of a rational, stored by its halved entries.
@@ -153,11 +146,6 @@ class EvenCF:
         if self.has_final_b:
             word.append(self.b_entries[-1])
         return tuple(word)
-
-    def value(self) -> Fraction:
-        v = cf_eval(self.entries())
-        assert v is not INFINITY
-        return v
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(e) for e in self.entries()) + "]"

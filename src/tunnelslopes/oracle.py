@@ -1,7 +1,8 @@
 """Exhaustive and randomized cross-checks, shipped so the command line can
 re-certify the three load-bearing facts on demand: the even expansion is the
 unique constraint-satisfying one at desk scale, word matrices encode exactly
-the continued fractions of their words, and 2-bridge unit rewrites keep b/a.
+the continued fractions of their words, and 2-bridge unit rewrites keep b/a
+and give the twist counts of the cabling walk.
 
 All three checks evaluate words with their own fold of projective c + 1/x
 steps, sharing nothing with the integer fold or the expansion they certify.
@@ -19,7 +20,7 @@ from typing import Dict, Iterator, List, Tuple
 from .contfrac import even_cf_expand
 from .rationals import INFINITY, ProjectiveRational, projective_add_invert, render
 from .sl2 import word_product
-from .twobridge import TwoBridgeForm, _unit_word, make_form
+from .twobridge import TwoBridgeForm, _unit_word, cabling_steps, make_form, unit_rewrite
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,22 @@ def random_word_dictionary_check(samples: int, seed: int) -> OracleReport:
 
 
 def unit_rewrite_check(forms: List[TwoBridgeForm]) -> OracleReport:
-    """Check each form's unit rewrite: one unit per twist of the expansion,
-    and the unit word evaluates back to b/a under the reference fold."""
+    """Check each form against the unit rewrite of its expansion: one unit per
+    twist, the unit word evaluates back to b/a under the reference fold, and
+    ``cabling_steps`` gives the twist count k = 2*ub(i-1) + (ua(i) + ua(i-1))/2
+    of every unit i after the first."""
     violations = []
     for f in forms:
         twists = sum(abs(a) for a in f.expansion.a_entries)
-        if len(f.unit_a) != twists:
-            violations.append(f"{f.b}/{f.a}: {len(f.unit_a)} units for {twists} twists")
-        elif (value := _eval_raw(_unit_word(f.unit_a, f.unit_b))) != Fraction(f.b, f.a):
+        ua, ub = unit_rewrite(f.expansion)
+        if len(ua) != twists:
+            violations.append(f"{f.b}/{f.a}: {len(ua)} units for {twists} twists")
+        elif (value := _eval_raw(_unit_word(ua, ub))) != Fraction(f.b, f.a):
             violations.append(f"{f.b}/{f.a}: unit word evaluates to {render(value)}")
+        elif [(s.index, s.k) for s in cabling_steps(f)[1]] != [
+            (i, 2 * ub[i - 1] + (ua[i] + ua[i - 1]) // 2) for i in range(len(ua) - 1, 0, -1)
+        ]:
+            violations.append(f"{f.b}/{f.a}: cabling twist counts differ from the unit walk")
     return OracleReport("2-bridge unit rewrite", len(forms), tuple(sorted(violations)))
 
 

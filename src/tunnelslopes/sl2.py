@@ -49,9 +49,6 @@ class SL2Matrix:
     def inverse(self) -> "SL2Matrix":
         return SL2Matrix(self.r, -self.s, -self.p, self.q)
 
-    def transpose(self) -> "SL2Matrix":
-        return SL2Matrix(self.q, self.p, self.s, self.r)
-
     def determinant(self) -> int:
         return self.q * self.r - self.s * self.p
 
@@ -60,15 +57,6 @@ class SL2Matrix:
 
 
 IDENTITY = SL2Matrix(1, 0, 0, 1)
-
-
-def generator_power(which: str, exponent: int) -> SL2Matrix:
-    """U^e = (1 e / 0 1) or L^e = (1 0 / e 1)."""
-    if which == "U":
-        return SL2Matrix(1, exponent, 0, 1)
-    if which == "L":
-        return SL2Matrix(1, 0, exponent, 1)
-    raise ValueError(f"generator must be 'U' or 'L', got {which!r}")
 
 
 def word_product(exponents: Iterable[int]) -> SL2Matrix:

@@ -2,22 +2,22 @@
 
 A 2-bridge knot is classified by a fraction b/a with b odd; adding multiples
 of b to a normalizes it so that |b/a| > 1, and either of the two admissible
-residues may be used. The even expansion of the normalized fraction is then
-rewritten so every upper entry is a single full twist (each 2ai becomes
-[2, 0, 2, ..., 2] with matching signs), one cabling per unit. Walking the
-units from the last to the first yields the twist count of each cabling,
-k = 2b + (e + e')/2 from the signs e, e' of a unit and its predecessor and
-the lower entry b between them, and from it the cabling slope, 2 + 1/k =
-(2k + 1)/k or -2 + 1/k = (1 - 2k)/k depending on a strand parity that the
-final lower entry controls. One walk serves both ``cabling_steps``, which
-records each cabling as a ``CablingStep``, and ``two_bridge_slopes``, which
-builds each slope once, in lowest terms, and lets a run of equal consecutive
-slopes share one ``Fraction``. The first cabling instead contributes the
-residue k1/(2k1 + 1) mod 1, where k1 is the final lower entry, less one when
-the last unit is negative. All of the selection bits are zero for these
-tunnels. ``make_form`` is the one
-validation of b/a; the records it builds are not checked again, and
-``oracle.unit_rewrite_check`` certifies the units.
+residues may be used. Each upper entry 2ai of the even expansion of the
+normalized fraction stands for |ai| full twists of sign ei = sign ai, one
+cabling per twist. Walking the twists from the last to the first yields the
+twist count of each cabling, k = 2b + (e + e')/2 from the signs e, e' of a
+twist and its predecessor and the lower entry b between them (zero inside a
+block, so the walk yields the |ai| - 1 cablings inside block i, all with
+k = ei, as one run), and from it the cabling slope, 2 + 1/k = (2k + 1)/k or
+-2 + 1/k = (1 - 2k)/k depending on a strand parity that the final lower entry
+controls. One walk serves both ``cabling_steps``, which records each cabling
+as a ``CablingStep``, and ``two_bridge_slopes``, which builds each slope once,
+in lowest terms, and lets a run of equal consecutive slopes share one
+``Fraction``. The first cabling instead contributes the residue k1/(2k1 + 1)
+mod 1, where k1 is the final lower entry, less one when the last a entry is
+negative. All of the selection bits are zero for these tunnels. ``make_form``
+is the one validation of b/a; the records it builds are not checked again,
+and ``oracle.unit_rewrite_check`` certifies the walk against ``unit_rewrite``.
 """
 
 from __future__ import annotations
@@ -73,14 +73,12 @@ class CablingStep:
 
 @dataclass(frozen=True)
 class TwoBridgeForm:
-    """A normalized 2-bridge invariant with its unit-rewritten expansion; a
+    """A normalized 2-bridge invariant with the even expansion of b/a; a
     plain record that ``make_form`` validates and builds."""
 
     b: int
     a: int
     expansion: EvenCF
-    unit_a: Tuple[int, ...]
-    unit_b: Tuple[int, ...]
 
 
 def _unit_word(unit_a: Tuple[int, ...], unit_b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -113,7 +111,7 @@ def unit_rewrite(e: EvenCF) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 def make_form(b: int, a: int) -> TwoBridgeForm:
     """Build the form for an already-normalized invariant b/a, checking b/a
-    here and nowhere else (the form's units are certified by the oracle)."""
+    here and nowhere else (its cablings are certified by the oracle)."""
     if b < 0:
         b, a = -b, -a
     if b % 2 == 0:
@@ -130,9 +128,7 @@ def make_form(b: int, a: int) -> TwoBridgeForm:
         raise ValueError(
             f"|{b}/{a}| does not exceed 1: normalize a by multiples of {b} first"
         )
-    expansion = even_cf_expand(Fraction(b, a))
-    unit_a, unit_b = unit_rewrite(expansion)
-    return TwoBridgeForm(b, a, expansion, unit_a, unit_b)
+    return TwoBridgeForm(b, a, even_cf_expand(Fraction(b, a)))
 
 
 def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
@@ -148,32 +144,44 @@ def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
 
 
 def _first_residue(form: TwoBridgeForm) -> ResidueSlope:
-    k_first = form.unit_b[-1] - (form.unit_a[-1] < 0)
+    k_first = form.expansion.b_entries[-1] - (form.expansion.a_entries[-1] < 0)
     if k_first == 0:
         raise CablingContradictionError("first cabling has twist count 0")
     return residue_of(Fraction(k_first, 2 * k_first + 1))
 
 
-def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, bool]]:
-    """(index, k, even) for each cabling after the first, in construction
-    order: unit index, twist count and whether the strand parity is even."""
-    unit_a, unit_b = form.unit_a, form.unit_b
-    b_last = unit_b[-1]
-    for i in range(len(unit_a) - 1, 0, -1):
-        successor = unit_a[i]
-        # With unit signs e = successor and e' = unit_a[i - 1], the twist
-        # count is k = 2*b(i-1) + (e + e')/2, and the strand parity is that
-        # of b_last + (e + 1)/2.
-        k = 2 * unit_b[i - 1] + (successor + unit_a[i - 1]) // 2
-        if k == 0:
-            raise CablingContradictionError(f"cabling {i} has twist count 0")
-        yield i, k, (b_last + (successor + 1) // 2) % 2 == 0
+def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, int, bool]]:
+    """(count, index, k, even) per run of equal cablings after the first, in
+    construction order: its length, highest twist index, twist count and
+    whether its strand parity is even."""
+    a_entries, b_entries = form.expansion.a_entries, form.expansion.b_entries
+    b_last = b_entries[-1]
+    top = sum(map(abs, a_entries)) - 1
+    for j in range(len(a_entries) - 1, -1, -1):
+        # Cablings whose successor twist lies in block j (sign e) have the
+        # parity of b_last + (e + 1)/2: |aj| - 1 inside the block with k = e,
+        # and for j > 0 one at the boundary, k = 2b(j-1) + (e + e')/2.
+        e = 1 if a_entries[j] > 0 else -1
+        even = (b_last + (e + 1) // 2) % 2 == 0
+        inner = abs(a_entries[j]) - 1
+        if inner > 0:
+            yield inner, top, e, even
+            top -= inner
+        if j:
+            k = 2 * b_entries[j - 1] + (e + (1 if a_entries[j - 1] > 0 else -1)) // 2
+            if k == 0:
+                raise CablingContradictionError(f"cabling {top} has twist count 0")
+            yield 1, top, k, even
+            top -= 1
 
 
 def cabling_steps(form: TwoBridgeForm) -> Tuple[ResidueSlope, Tuple[CablingStep, ...]]:
     """The first-cabling residue and the later cablings in construction order."""
-    m0 = _first_residue(form)
-    return m0, tuple(CablingStep(i, k, "even" if even else "odd") for i, k, even in _walk(form))
+    return _first_residue(form), tuple(
+        CablingStep(i, k, "even" if even else "odd")
+        for count, top, k, even in _walk(form)
+        for i in range(top, top - count, -1)
+    )
 
 
 def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
@@ -182,10 +190,10 @@ def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
     m0 = _first_residue(form)
     slopes: List[Fraction] = []
     last_k, last_even, slope = 0, False, None
-    for _, k, even in _walk(form):
+    for count, _, k, even in _walk(form):
         if k != last_k or even is not last_even:
             last_k, last_even, slope = k, even, _cabling_slope(k, even)
-        slopes.append(slope)
+        slopes += [slope] * count
     # Built from a list, the tuple is allocated at its size. A tuple built
     # from a generator is resized from 10 slots, and when freed it lands on
     # a free list that only a full garbage collection empties.

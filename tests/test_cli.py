@@ -230,6 +230,22 @@ class TestSlopes:
         assert "(5001 characters)" in err
         assert len(err.encode()) < 200
 
+    def test_one_long_block(self, capsys):
+        # 2000001/2 expands as [1000000, 2]: 500 000 twists of one sign.
+        code, out, err = run(capsys, "slopes", "2000001/2")
+        assert (code, err) == (0, "")
+        assert out == "[ 2/5 ]" + ", -1" * 499999 + "\n"
+
+    @pytest.mark.parametrize("n", [10**16, 10**2000])
+    def test_expansion_too_long_to_write_out(self, capsys, n):
+        # (N + 1)/(N - 1) expands to about N/2 entries in a few runs; writing
+        # them out would take petabytes or more, so the request fails at once.
+        code, out, err = run(capsys, "slopes", f"({n + 1}/{n - 1})")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
+
 
 class TestTupleCommands:
     def test_classify_hopf(self, capsys):

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ from tunnelslopes import (
     unit_rewrite,
     validate,
 )
+import tunnelslopes.oracle
+import tunnelslopes.twobridge
 from tunnelslopes.oracle import unit_rewrite_check
 from tunnelslopes.twobridge import _unit_word
 
@@ -143,7 +147,7 @@ class TestUnitRewrite:
     def test_negative_units(self):
         e = EvenCF((-1, -1), (-2, -1), True)
         assert unit_rewrite(e) == ((-1, -1), (-2, -1))
-        assert cf_eval(_unit_word(*unit_rewrite(e))) == e.value()
+        assert cf_eval(_unit_word(*unit_rewrite(e))) == cf_eval(e.entries())
 
     def test_value_preserved(self):
         e = even_cf_expand(Fraction(64793, 31710))
@@ -174,14 +178,18 @@ class TestCablingStep:
         with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'both'"):
             CablingStep(1, 3, "both")
 
+    # make_form never builds these expansions (EvenCF rejects them), but a
+    # TwoBridgeForm is a plain record, so the walk keeps its guards.
     def test_zero_first_twist_rejected(self):
-        form = replace(make_form(33, 19), unit_a=(1, 1, -1))
+        expansion = SimpleNamespace(a_entries=(2, -1), b_entries=(-2, 1))
+        form = replace(make_form(33, 19), expansion=expansion)
         for compute in (cabling_steps, two_bridge_slopes):
             with pytest.raises(CablingContradictionError, match="^first cabling has twist count 0$"):
                 compute(form)
 
     def test_zero_later_twist_rejected(self):
-        form = replace(make_form(33, 19), unit_a=(1, -1, 1))
+        expansion = SimpleNamespace(a_entries=(1, -1, 1), b_entries=(-2, 0, 1))
+        form = replace(make_form(33, 19), expansion=expansion)
         for compute in (cabling_steps, two_bridge_slopes):
             with pytest.raises(CablingContradictionError, match="^cabling 2 has twist count 0$"):
                 compute(form)
@@ -196,8 +204,9 @@ class TestCablingStep:
         for b, a in [(33, 19), (3, 2), (3, -1), (5272967, 2616517)]:
             form = make_form(b, a)
             m0, _ = cabling_steps(form)
-            last_unit = form.unit_a[-1]
-            b_last = form.unit_b[-1]
+            unit_a, unit_b = unit_rewrite(form.expansion)
+            last_unit = unit_a[-1]
+            b_last = unit_b[-1]
             if last_unit == 1:
                 standard = 2 + Fraction(1, b_last)
             else:
@@ -207,7 +216,7 @@ class TestCablingStep:
 
 def reference_cabling_steps(form):
     """The four-case walk that the twist-count formula replaced."""
-    unit_a, unit_b = form.unit_a, form.unit_b
+    unit_a, unit_b = unit_rewrite(form.expansion)
     b_last = unit_b[-1]
     if unit_a[-1] == 1:
         m0 = residue_of(Fraction(b_last, 2 * b_last + 1))
@@ -244,7 +253,7 @@ def forms_with_wide_blocks(count, seed):
         if abs(b_last) == 1:
             b_last = 1 if a[-1] > 0 else -1
         expansion = EvenCF(tuple(a), tuple(b) + (b_last,), True)
-        x = expansion.value()
+        x = cf_eval(expansion.entries())
         form = make_form(x.numerator, x.denominator)
         assert form.expansion == expansion
         forms.append(form)
@@ -272,7 +281,7 @@ def assert_matches_four_case_walk(form):
 def test_cabling_formula_matches_four_case_walk():
     small = [make_form(b, a) for b in range(3, 40, 2) for a in range(1 - b, b) if gcd(b, a) == 1]
     wide = forms_with_wide_blocks(200, seed=5)
-    assert sum(any(abs(b) >= 50 for b in f.unit_b[:-1]) for f in wide) >= 50
+    assert sum(any(abs(b) >= 50 for b in f.expansion.b_entries[:-1]) for f in wide) >= 50
     for form in small + wide:
         assert_matches_four_case_walk(form)
 
@@ -291,7 +300,7 @@ def forms_with_long_blocks(draw):
     if abs(b_last) == 1:
         b_last = 1 if a[-1] > 0 else -1
     expansion = EvenCF(tuple(a), tuple(b) + (b_last,), True)
-    x = expansion.value()
+    x = cf_eval(expansion.entries())
     form = make_form(x.numerator, x.denominator)
     assert form.expansion == expansion
     return form
@@ -326,7 +335,8 @@ def random_invariants(count, seed, bound=99999):
 def test_structural_properties(b, a):
     form = make_form(b, a)
     t = two_bridge_slopes(form)
-    assert len(t.slopes) + 1 == len(form.unit_a) == sum(abs(x) for x in form.expansion.a_entries)
+    unit_a, unit_b = unit_rewrite(form.expansion)
+    assert len(t.slopes) + 1 == len(unit_a) == sum(abs(x) for x in form.expansion.a_entries)
     assert all(m.numerator % 2 == 1 for m in t.slopes)
     assert t.m0.denominator % 2 == 1
     cls = validate(t)
@@ -335,26 +345,54 @@ def test_structural_properties(b, a):
         assert cls.kind is TunnelKind.SEMISIMPLE
     else:
         assert cls.kind is TunnelKind.SIMPLE_KNOT
-    assert cf_eval(_unit_word(form.unit_a, form.unit_b)) == Fraction(b, a)
+    assert cf_eval(_unit_word(unit_a, unit_b)) == Fraction(b, a)
     _, steps = cabling_steps(form)
     for step in steps:
         center = 2 if step.parity == "even" else -2
         assert abs(step.slope - center) == Fraction(1, abs(step.k)) <= 1
 
 
-def test_unit_rewrite_check_catches_broken_forms():
+def test_unit_rewrite_check_catches_broken_forms(monkeypatch):
     form = make_form(33, 19)
-    changed_last_b = replace(form, unit_b=form.unit_b[:-1] + (form.unit_b[-1] + 1,))
-    dropped_unit = replace(form, unit_a=form.unit_a[1:], unit_b=form.unit_b[1:])
+    unit_a, unit_b = unit_rewrite(form.expansion)
     assert unit_rewrite_check([form]).ok
-    assert unit_rewrite_check([changed_last_b]).violations == (
-        "33/19: unit word evaluates to 59/34",
+    broken_rewrites = {
+        "33/19: unit word evaluates to 59/34": (unit_a, unit_b[:-1] + (unit_b[-1] + 1,)),
+        "33/19: 2 units for 3 twists": (unit_a[1:], unit_b[1:]),
+    }
+    for violation, units in broken_rewrites.items():
+        monkeypatch.setattr(tunnelslopes.oracle, "unit_rewrite", lambda e, units=units: units)
+        assert unit_rewrite_check([form]).violations == (violation,)
+    monkeypatch.undo()
+
+    walk = tunnelslopes.twobridge._walk
+
+    def walk_with_a_wrong_boundary(form):
+        for count, top, k, even in walk(form):
+            yield count, top, k + (count == 1), even
+
+    monkeypatch.setattr(tunnelslopes.twobridge, "_walk", walk_with_a_wrong_boundary)
+    assert unit_rewrite_check([form]).violations == (
+        "33/19: cabling twist counts differ from the unit walk",
     )
-    assert unit_rewrite_check([dropped_unit]).violations == ("33/19: 2 units for 3 twists",)
 
 
 def test_total_cabling_count_equals_expansion_twists():
     assert sum_a(even_cf_expand(Fraction(33, 19))) == 3  # signed sum, for contrast
     form = make_form(33, 19)
-    assert len(form.unit_a) == 3
+    assert len(unit_rewrite(form.expansion)[0]) == 3
     assert len(two_bridge_slopes(form).slopes) == 2
+
+
+def test_form_memory_does_not_grow_with_the_twists():
+    # 2000001/2 expands as [1000000, 2]: 500 000 twists in one block, which a
+    # form keeps as its two-entry expansion rather than as units.
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        form = make_form(2000001, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form.expansion.entries() == (1000000, 2)
+    assert peak < 1_000_000
