@@ -12,6 +12,7 @@ so an answer longer than its input still prints.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -147,7 +148,12 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; every later call
+    returns the same one, which callers must not change. Parsing keeps no
+    state in it, so ``main`` may run many times in one process without
+    building it again."""
     parser = argparse.ArgumentParser(
         prog="tunnelslopes",
         description="Exact slope invariants of tunnel-number-one knot and link tunnels.",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from typing import Dict, Iterator, List, Tuple
 
@@ -50,9 +49,12 @@ def _eval_raw(entries: Tuple[ProjectiveRational, ...]) -> ProjectiveRational:
     return acc
 
 
-def _candidate_sequences(
+def _candidate_words(
     length: int, max_entry: int, enforce_sign_rule: bool
-) -> Iterator[Tuple[int, ...]]:
+) -> Iterator[Tuple[Tuple[int, ...], ProjectiveRational]]:
+    """Every candidate word of one length with its value under the reference
+    fold. Words grow from the last entry leftwards, so each suffix is folded
+    once for all the words that end with it."""
     entries = range(-max_entry, max_entry + 1)
     evens = [e for e in entries if e % 2 == 0]
     evens_nonzero = [e for e in evens if e != 0]
@@ -61,10 +63,19 @@ def _candidate_sequences(
     if closing_b:
         choices[-1] = [e for e in entries if e != 0]
     sign_rule = enforce_sign_rule and closing_b
-    for seq in product(*choices):
-        # The closing pair (ak, +-1) must share a sign.
-        if not (sign_rule and abs(seq[-1]) == 1 and seq[-2] * seq[-1] < 0):
-            yield seq
+
+    def extend(word, value):
+        if len(word) == length:
+            yield word, value
+            return
+        for c in choices[-1 - len(word)]:
+            # The closing pair (ak, +-1) must share a sign; only a closing b
+            # entry is odd.
+            if not (sign_rule and abs(word[0]) == 1 and c * word[0] < 0):
+                yield from extend((c,) + word, projective_add_invert(c, value))
+
+    for e in choices[-1]:
+        yield from extend((e,), Fraction(e))
 
 
 def enumerate_even_cfs(
@@ -80,8 +91,8 @@ def enumerate_even_cfs(
         raise ValueError("enumeration bounds are desk scale: max_len <= 5, max_entry <= 8")
     grouped: Dict[Fraction, List[Tuple[int, ...]]] = {}
     for length in range(1, max_len + 1):
-        for seq in _candidate_sequences(length, max_entry, enforce_sign_rule):
-            grouped.setdefault(_eval_raw(seq), []).append(seq)
+        for word, value in _candidate_words(length, max_entry, enforce_sign_rule):
+            grouped.setdefault(value, []).append(word)
     return grouped
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -364,3 +365,52 @@ def test_selfcheck_failure_exits_nonzero(capsys, monkeypatch):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     assert out.endswith("selfcheck: FAIL\n")
+
+
+class TestRepeatedMain:
+    """``main`` may run many times in one process; it builds its parser once."""
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "convert", "55")[0] == 0  # builds it, unless a call before did
+        built.clear()
+        assert run(capsys, "slopes", "(33/19)")[0] == 0
+        assert built == []
+
+    def test_flags_do_not_carry_over(self, capsys):
+        params = "[ 1/3 ], 3, 5/3 ; 0"
+        assert json.loads(run(capsys, "classify", "--json", params)[1])["class"] == "Semisimple"
+        assert run(capsys, "classify", params) == (0, "Semisimple\n", "")
+        assert run(capsys, "slopes", "--both", "(3/5)")[1].count("\n") == 2
+        assert run(capsys, "slopes", "(33/19)") == (0, SLOPES_LINES["(33/19)"] + "\n", "")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["convert"], "the following arguments are required: value"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ],
+    )
+    def test_usage_error_then_success(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tunnelslopes")
+        assert message in err
+        assert run(capsys, "convert", "(59/35)") == (0, "-299/35\n", "")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: tunnelslopes")
+        assert "convert-range" in out

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +18,7 @@ from tunnelslopes import (
     sum_a,
     word_product,
 )
+from tunnelslopes.convert import _range_pairs
 
 KNOWN_CONVERSIONS = [
     (Fraction(55), Fraction(-55)),
@@ -84,6 +87,19 @@ class TestConvertRange:
         pairs = convert_range(35, -11, 11)
         numerators = [x.numerator * (35 // x.denominator) for x, _ in pairs]
         assert numerators == sorted(numerators)
+
+    def test_streamed_pairs_hold_flat_memory(self):
+        # The pairs of 40 000 odd q and of 4 000 peak alike: nothing is kept
+        # per pair.
+        def peak(q_hi):
+            tracemalloc.start()
+            try:
+                deque(_range_pairs(7, 1, q_hi), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(80_000) - peak(8_000)) < 64 * 1024
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,26 @@ from tunnelslopes import (
     random_word_dictionary_check,
     selfcheck,
 )
+from tunnelslopes.oracle import _eval_raw
+
+
+def reference_enumerate_even_cfs(max_len, max_entry, enforce_sign_rule=True):
+    """The enumeration as a product over each position's choices, every word
+    folded in full: the reference for the suffix-sharing walk."""
+    grouped = {}
+    entries = range(-max_entry, max_entry + 1)
+    evens = [e for e in entries if e % 2 == 0]
+    evens_nonzero = [e for e in evens if e != 0]
+    for length in range(1, max_len + 1):
+        choices = [evens] + [evens_nonzero] * (length - 1)
+        closing_b = length % 2 == 0
+        if closing_b:
+            choices[-1] = [e for e in entries if e != 0]
+        sign_rule = enforce_sign_rule and closing_b
+        for seq in product(*choices):
+            if not (sign_rule and abs(seq[-1]) == 1 and seq[-2] * seq[-1] < 0):
+                grouped.setdefault(_eval_raw(seq), []).append(seq)
+    return grouped
 
 
 class TestEnumeration:
@@ -21,6 +42,15 @@ class TestEnumeration:
     def test_desk_bounds_pin_33_over_19(self):
         grouped = enumerate_even_cfs(4, 6)
         assert grouped[Fraction(33, 19)] == [(2, -4, 4, 1)]
+
+    @pytest.mark.parametrize("enforce_sign_rule", [True, False])
+    @pytest.mark.parametrize("bounds", [(1, 3), (2, 4), (3, 5), (4, 4), (4, 6), (5, 4)])
+    def test_matches_the_product_reference(self, bounds, enforce_sign_rule):
+        walked = enumerate_even_cfs(*bounds, enforce_sign_rule=enforce_sign_rule)
+        reference = reference_enumerate_even_cfs(*bounds, enforce_sign_rule=enforce_sign_rule)
+        assert {v: sorted(w) for v, w in walked.items()} == {
+            v: sorted(w) for v, w in reference.items()
+        }
 
     def test_bounds_guarded(self):
         with pytest.raises(ValueError):
