@@ -39,14 +39,15 @@ to M = (-3 2s / -2s 1) = -I + N with N^2 = 0, so a run folds in one step as
     M^n = (-1)^n (I - nN) = (-1)^n (1 + 2n, -2sn / 2sn, 1 - 2n),
 
 and conversion and change of basis cost a few steps per regular partial
-quotient instead of one per entry. ``even_cf_expand`` writes the runs out,
-since its a and b entries are the expansion itself.
+quotient instead of one per entry. ``even_cf_expand`` writes each run out
+into its a and b entries, which are the expansion itself, in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, List, NamedTuple, Tuple
 
 from .rationals import INFINITY, IndeterminateFormError, ProjectiveRational, _quotient
@@ -125,9 +126,9 @@ class EvenCF:
             raise ValueError(
                 f"expected {expected_b} b entries for k={k}, got {len(self.b_entries)}"
             )
-        if any(a == 0 for a in self.a_entries[1:]):
+        if 0 in islice(self.a_entries, 1, None):
             raise ValueError("only the leading a entry may be zero")
-        if any(b == 0 for b in self.b_entries):
+        if 0 in self.b_entries:
             raise ValueError("b entries must be nonzero")
         if self.has_final_b:
             a_last, b_last = self.a_entries[-1], self.b_entries[-1]
@@ -192,12 +193,22 @@ def _even_runs(x: Fraction) -> Tuple[list, int]:
 
 def even_cf_expand(x) -> EvenCF:
     """The unique constraint-satisfying even expansion of a rational."""
-    raw = _expand(_even_runs(Fraction(x))[0])
-    has_final_b = len(raw) % 2 == 0
-    b = [c // 2 for c in raw[1::2]]
+    items = _even_runs(Fraction(x))[0]
+    halves: Tuple[List[int], List[int]] = ([], [])  # the a and b entries
+    slot = 0
+    for c in items:
+        if type(c) is _Run:
+            # n pairs (2s, -2s) give this slot n entries s and the other n entries -s.
+            halves[slot].extend([c.sign] * c.count)
+            halves[1 - slot].extend([-c.sign] * c.count)
+        else:
+            halves[slot].append(c // 2)
+            slot = 1 - slot
+    a, b = halves
+    has_final_b = slot == 0
     if has_final_b:
-        b[-1] = raw[-1]  # the closing bk is stored whole
-    a = [c // 2 for c in raw[0::2]]  # a list sizes the tuple exactly; see two_bridge_slopes
+        b[-1] = items[-1]  # the closing bk is stored whole
+    # Lists size the tuples exactly; see two_bridge_slopes.
     return EvenCF(tuple(a), tuple(b), has_final_b)
 
 

@@ -74,7 +74,7 @@ class TunnelParams:
 
 def _exact_tuple(values, kind) -> tuple:
     """values as a tuple of exactly type kind, converting only what is not."""
-    if type(values) is tuple and all(type(v) is kind for v in values):
+    if type(values) is tuple and {*map(type, values)} <= {kind}:
         return values
     return tuple(v if type(v) is kind else kind(v) for v in values)
 
@@ -159,7 +159,7 @@ def serialize(t: TunnelParams) -> str:
     """Stable text form: '[ p/q ], m1, ..., mn ; s2...sn' (bits only when n >= 2)."""
     text = ", ".join([str(t.m0), *_rendered(t.slopes)])
     if len(t.slopes) >= 2:
-        text += " ; " + "".join(str(s) for s in t.binaries)
+        text += " ; " + "".join(map(str, t.binaries))
     return text
 
 

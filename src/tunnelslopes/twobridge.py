@@ -8,7 +8,9 @@ cabling per twist. Walking the twists from the last to the first yields the
 twist count of each cabling, k = 2b + (e + e')/2 from the signs e, e' of a
 twist and its predecessor and the lower entry b between them (zero inside a
 block, so the walk yields the |ai| - 1 cablings inside block i, all with
-k = ei, as one run), and from it the cabling slope, 2 + 1/k = (2k + 1)/k or
+k = ei, as one run; a stretch of one-twist blocks with equal entries, which
+a run of pairs (2s, -2s) gives, has equal boundary cablings and is one run
+too), and from it the cabling slope, 2 + 1/k = (2k + 1)/k or
 -2 + 1/k = (1 - 2k)/k depending on a strand parity that the final lower entry
 controls. One walk serves both ``cabling_steps``, which records each cabling
 as a ``CablingStep``, and ``two_bridge_slopes``, which builds each slope once,
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, zip_longest
 from math import gcd
+from operator import countOf
 from typing import Iterator, List, Tuple
 
 from .contfrac import EvenCF, even_cf_expand
@@ -157,22 +161,37 @@ def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, int, bool]]:
     a_entries, b_entries = form.expansion.a_entries, form.expansion.b_entries
     b_last = b_entries[-1]
     top = sum(map(abs, a_entries)) - 1
-    for j in range(len(a_entries) - 1, -1, -1):
+    # Block j from the last to the first, keyed by (aj, a(j-1), b(j-1));
+    # block 0 has no lower neighbour and is keyed (a0, None, None).
+    lower_a, lower_b = reversed(a_entries), reversed(b_entries)
+    next(lower_a), next(lower_b)
+    for key, stretch in groupby(zip_longest(reversed(a_entries), lower_a, lower_b)):
         # Cablings whose successor twist lies in block j (sign e) have the
         # parity of b_last + (e + 1)/2: |aj| - 1 inside the block with k = e,
         # and for j > 0 one at the boundary, k = 2b(j-1) + (e + e')/2.
-        e = 1 if a_entries[j] > 0 else -1
+        a, a_lower, b = key
+        e = 1 if a > 0 else -1
         even = (b_last + (e + 1) // 2) % 2 == 0
-        inner = abs(a_entries[j]) - 1
+        inner = abs(a) - 1
+        if a_lower is None:
+            if inner > 0:
+                yield inner, top, e, even
+            return
+        k = 2 * b + (e + (1 if a_lower > 0 else -1)) // 2
+        if k == 0:
+            raise CablingContradictionError(f"cabling {top - max(inner, 0)} has twist count 0")
         if inner > 0:
-            yield inner, top, e, even
-            top -= inner
-        if j:
-            k = 2 * b_entries[j - 1] + (e + (1 if a_entries[j - 1] > 0 else -1)) // 2
-            if k == 0:
-                raise CablingContradictionError(f"cabling {top} has twist count 0")
-            yield 1, top, k, even
-            top -= 1
+            for _ in stretch:
+                yield inner, top, e, even
+                top -= inner
+                yield 1, top, k, even
+                top -= 1
+        else:
+            # Blocks of one twist with equal keys, as a run of pairs
+            # (2s, -2s) gives, have only their equal boundary cablings.
+            count = countOf(stretch, key)
+            yield count, top, k, even
+            top -= count
 
 
 def cabling_steps(form: TwoBridgeForm) -> Tuple[ResidueSlope, Tuple[CablingStep, ...]]:

@@ -163,6 +163,19 @@ class TestEvenCfValidation:
         with pytest.raises(ValueError):
             EvenCF((1, 2), (0, 1), True)
 
+    @pytest.mark.parametrize(
+        "a_entries,b_entries,has_final_b,message",
+        [
+            ((0, 0), (2, 1), True, "only the leading a entry may be zero"),
+            ((0, 3, 0, 1), (2, 2, 2, 1), True, "only the leading a entry may be zero"),
+            ((1, 2), (2, 0), True, "b entries must be nonzero"),
+            ((1, 2), (0,), False, "b entries must be nonzero"),
+        ],
+    )
+    def test_zero_entry_messages(self, a_entries, b_entries, has_final_b, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EvenCF(a_entries, b_entries, has_final_b)
+
     def test_sign_rule_enforced(self):
         with pytest.raises(ValueError):
             EvenCF((1,), (-1,), True)

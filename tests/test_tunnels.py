@@ -51,6 +51,12 @@ class TestTunnelParams:
         assert t.binaries == (0, 1)
         assert [type(s) for s in t.binaries] == [int, int]
 
+    def test_one_inexact_element_converts_the_tuple(self):
+        slopes, binaries = (Fraction(3), 5, Fraction(7, 3)), (0, True)
+        t = TunnelParams(residue_of(Fraction(1, 3)), slopes, binaries)
+        assert t.slopes is not slopes and [type(m) for m in t.slopes] == [Fraction] * 3
+        assert t.binaries == (0, 1) and [type(s) for s in t.binaries] == [int, int]
+
 
 class TestValidate:
     def test_trivial_knot(self):
@@ -168,6 +174,10 @@ class TestLinkingNumber:
 class TestSerialization:
     def test_serialize_with_binaries(self):
         assert serialize(TREFOILISH) == "[ 1/3 ], 3, 5/3 ; 0"
+
+    def test_serialize_prints_unvalidated_bits_as_they_are(self):
+        t = params(Fraction(1, 3), (3, Fraction(5, 3), 3), (2, 1))
+        assert serialize(t) == "[ 1/3 ], 3, 5/3, 3 ; 21"
 
     def test_serialize_simple(self):
         assert serialize(params(Fraction(1, 2))) == "[ 1/2 ]"

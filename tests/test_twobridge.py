@@ -1,12 +1,13 @@
 import random
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tunnelslopes import (
     CablingContradictionError,
@@ -16,12 +17,14 @@ from tunnelslopes import (
     Target,
     TrivialKnotError,
     TunnelKind,
+    TunnelParams,
     cabling_steps,
     cf_eval,
     even_cf_expand,
     make_form,
     normalize_input,
     residue_of,
+    serialize,
     sum_a,
     two_bridge_slopes,
     unit_rewrite,
@@ -30,7 +33,7 @@ from tunnelslopes import (
 import tunnelslopes.oracle
 import tunnelslopes.twobridge
 from tunnelslopes.oracle import unit_rewrite_check
-from tunnelslopes.twobridge import _unit_word
+from tunnelslopes.twobridge import _unit_word, _walk
 
 
 KNOWN_SEQUENCES = [
@@ -278,11 +281,33 @@ def assert_matches_four_case_walk(form):
     assert t.binaries == (0,) * max(len(t.slopes) - 1, 0)
 
 
+# The slowest slopes-2bridge inputs before the walk followed runs: one form
+# of each has hundreds to thousands of entries in a few runs of (2s, -2s).
+RUN_HEAVY_INVARIANTS = [
+    (19815, 19811),
+    (98699, -60738),
+    (36405, -13),
+    (53801, 17937),
+    (79383, 31751),
+    (83303, 78403),
+]
+
+# (2k + 1)/(2k - 1), that is (N + 2)/N for odd N: about N entries, nearly
+# all of them pairs (2, -2).
+NEAR_ONE_INVARIANTS = [(2 * k + 1, 2 * k - 1) for k in range(2, 200)] + [
+    (n + 2, n) for n in (999, 10**4 + 1, 10**5 - 1, 199_999)
+]
+
+
+def run_heavy_forms():
+    return [f for pair in RUN_HEAVY_INVARIANTS + NEAR_ONE_INVARIANTS for f in normalize_input(*pair)]
+
+
 def test_cabling_formula_matches_four_case_walk():
     small = [make_form(b, a) for b in range(3, 40, 2) for a in range(1 - b, b) if gcd(b, a) == 1]
     wide = forms_with_wide_blocks(200, seed=5)
     assert sum(any(abs(b) >= 50 for b in f.expansion.b_entries[:-1]) for f in wide) >= 50
-    for form in small + wide:
+    for form in small + wide + run_heavy_forms():
         assert_matches_four_case_walk(form)
 
 
@@ -310,6 +335,114 @@ def forms_with_long_blocks(draw):
 @settings(max_examples=200, deadline=None)
 def test_cabling_formula_matches_four_case_walk_on_long_blocks(form):
     assert_matches_four_case_walk(form)
+
+
+def reference_walk(form):
+    """The block-by-block walk that grouping equal boundary stretches
+    replaced: an inner item and a boundary item per block."""
+    a_entries, b_entries = form.expansion.a_entries, form.expansion.b_entries
+    b_last = b_entries[-1]
+    top = sum(map(abs, a_entries)) - 1
+    for j in range(len(a_entries) - 1, -1, -1):
+        e = 1 if a_entries[j] > 0 else -1
+        even = (b_last + (e + 1) // 2) % 2 == 0
+        inner = abs(a_entries[j]) - 1
+        if inner > 0:
+            yield inner, top, e, even
+            top -= inner
+        if j:
+            k = 2 * b_entries[j - 1] + (e + (1 if a_entries[j - 1] > 0 else -1)) // 2
+            if k == 0:
+                raise CablingContradictionError(f"cabling {top} has twist count 0")
+            yield 1, top, k, even
+            top -= 1
+
+
+def per_index(walk):
+    """The (index, k, parity) of every cabling of a walk, item by item."""
+    return [
+        (i, k, "even" if even else "odd")
+        for count, top, k, even in walk
+        for i in range(top, top - count, -1)
+    ]
+
+
+def reference_slopes(form):
+    """The slopes of the reference walk, one object per item as before."""
+    slopes, last = [], None
+    for count, _, k, even in reference_walk(form):
+        if (k, even) != last:
+            last, slope = (k, even), reference_slope(k, "even" if even else "odd")
+        slopes += [slope] * count
+    return tuple(slopes)
+
+
+def shared_neighbours(slopes):
+    return [m is prev for prev, m in zip(slopes, slopes[1:])]
+
+
+def assert_matches_reference_walk(form):
+    """The walk per index, cabling_steps, the slope values and which
+    neighbours share one object, and the serialized bytes, against the
+    reference walk."""
+    expected = per_index(reference_walk(form))
+    assert per_index(_walk(form)) == expected
+    m0, steps = cabling_steps(form)
+    assert [(s.index, s.k, s.parity) for s in steps] == expected
+    t = two_bridge_slopes(form)
+    slopes = reference_slopes(form)
+    assert shared_neighbours(t.slopes) == shared_neighbours(slopes)
+    # Slopes in lowest terms render apart, so equal bytes mean equal values.
+    reference = TunnelParams(m0, slopes, (0,) * max(len(slopes) - 1, 0))
+    assert serialize(t) == serialize(reference)
+
+
+@pytest.mark.parametrize("b,a", RUN_HEAVY_INVARIANTS)
+def test_walk_matches_reference_on_run_heavy_forms(b, a):
+    for form in normalize_input(b, a):
+        assert_matches_reference_walk(form)
+
+
+def test_walk_matches_reference_near_one():
+    for pair in NEAR_ONE_INVARIANTS:
+        for form in normalize_input(*pair):
+            assert_matches_reference_walk(form)
+
+
+@st.composite
+def invariants_below_a_million(draw):
+    b = draw(st.integers(1, 499_999)) * 2 + 1
+    a = draw(st.integers(1, b - 1))
+    assume(gcd(b, a) == 1)
+    return b, a
+
+
+@given(invariants_below_a_million())
+@settings(max_examples=100, deadline=None)
+def test_walk_matches_reference_below_a_million(pair):
+    for form in normalize_input(*pair):
+        assert_matches_reference_walk(form)
+
+
+def test_walk_follows_the_runs_not_the_entries():
+    form = make_form(19815, 19811)
+    entries = len(form.expansion.a_entries) + len(form.expansion.b_entries)
+    assert entries == 4954
+    assert len(list(_walk(form))) <= 8
+
+
+def test_walk_counts_a_stretch_without_listing_it():
+    # 2000001/1999999 expands to a million entries, nearly all pairs (2, -2).
+    form = make_form(2000001, 1999999)
+    assert len(form.expansion.a_entries) + len(form.expansion.b_entries) == 10**6
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        deque(_walk(form), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_equal_consecutive_slopes_share_one_object():
