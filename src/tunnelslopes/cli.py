@@ -22,15 +22,16 @@ from .convert import _range_pairs, st_convert
 from .oracle import selfcheck
 from .rationals import _excerpt, parse_rational, render
 from .tunnels import (
-    _rendered,
+    _export,
+    _linking_number,
+    _per_run,
     Target,
+    TunnelClass,
     TunnelKind,
     TunnelParams,
-    linking_number,
     mirror,
     parse,
     serialize,
-    to_export,
     validate,
 )
 from .twobridge import make_form, normalize_input, two_bridge_slopes
@@ -65,7 +66,7 @@ def _lift_digit_limit() -> None:
 
 
 def _slopes_line(t: TunnelParams) -> str:
-    return ", ".join([str(t.m0), *_rendered(t.slopes)])
+    return ", ".join([str(t.m0), *_per_run(render, t.slopes)])
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
@@ -92,13 +93,12 @@ def cmd_slopes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _classification_line(t: TunnelParams) -> str:
-    cls = validate(t)
+def _classification_line(t: TunnelParams, cls: TunnelClass) -> str:
     line = cls.kind.value
     if cls.kind is TunnelKind.SIMPLE_LINK and t.m0.value == Fraction(1, 2):
         line += " (Hopf link)"
     if cls.target is Target.LINK:
-        line += f", linking number {linking_number(t)}"
+        line += f", linking number {_linking_number(t, cls)}"
     if t.slopes and t.slopes[-1] == 0:
         line += " (final slope 0: accepted syntactically)"
     return line
@@ -107,20 +107,22 @@ def _classification_line(t: TunnelParams) -> str:
 def cmd_classify(args: argparse.Namespace) -> int:
     t = parse(args.params)
     _lift_digit_limit()
+    cls = validate(t)
     if args.json:
-        print(json.dumps(to_export(t)))
+        print(json.dumps(_export(t, cls)))
         return 0
-    print(_classification_line(t))
+    print(_classification_line(t, cls))
     return 0
 
 
 def cmd_mirror(args: argparse.Namespace) -> int:
     t = parse(args.params)
     _lift_digit_limit()
-    validate(t)
+    # Negating the slopes keeps every parity, so the mirror has t's class.
+    cls = validate(t)
     mirrored = mirror(t)
     if args.json:
-        print(json.dumps(to_export(mirrored)))
+        print(json.dumps(_export(mirrored, cls)))
         return 0
     print(serialize(mirrored))
     return 0
@@ -129,9 +131,10 @@ def cmd_mirror(args: argparse.Namespace) -> int:
 def cmd_link(args: argparse.Namespace) -> int:
     t = parse(args.params)
     _lift_digit_limit()
-    number = linking_number(t)
+    cls = validate(t)
+    number = _linking_number(t, cls)
     if args.json:
-        print(json.dumps(to_export(t)))
+        print(json.dumps(_export(t, cls)))
         return 0
     print(number)
     return 0

@@ -39,16 +39,19 @@ to M = (-3 2s / -2s 1) = -I + N with N^2 = 0, so a run folds in one step as
     M^n = (-1)^n (I - nN) = (-1)^n (1 + 2n, -2sn / 2sn, 1 - 2n),
 
 and conversion and change of basis cost a few steps per regular partial
-quotient instead of one per entry. ``even_cf_expand`` writes each run out
-into its a and b entries, which are the expansion itself, in one step.
+quotient instead of one per entry. ``EvenCF`` stores the expansion in the
+same spirit, as runs of equal blocks (ai, bi), and ``even_cf_expand`` turns
+each run item into one or two of them, so the expansion of (p + 1)/p takes
+a few items of memory however large p is. The entries are written out only
+when ``a_entries``, ``b_entries`` or ``entries()`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, List, NamedTuple, Tuple
+from itertools import islice, zip_longest
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .rationals import INFINITY, IndeterminateFormError, ProjectiveRational, _quotient
 
@@ -104,48 +107,90 @@ def cf_eval(entries: Iterable[ProjectiveRational]) -> ProjectiveRational:
     return _quotient(q, p)
 
 
-@dataclass(frozen=True)
-class EvenCF:
-    """The even expansion of a rational, stored by its halved entries.
+def _add_blocks(runs: list, a: int, b, count: int) -> None:
+    """Append ``count`` blocks (a, b) to a list of runs, extending the last
+    run when its block is the same."""
+    if runs and runs[-1][0] == a and runs[-1][1] == b:
+        runs[-1] = (a, b, runs[-1][2] + count)
+    else:
+        runs.append((a, b, count))
 
-    ``a_entries`` holds a1..ak (the word carries 2*ai), ``b_entries`` holds
-    b1..b(k-1) (the word carries 2*bi) plus, when ``has_final_b``, the closing
-    bk exactly as it appears in the word.
+
+@dataclass(frozen=True, init=False)
+class EvenCF:
+    """The even expansion of a rational, stored as runs of equal blocks.
+
+    Block i is (ai, bi): the word carries 2ai and then 2bi, except that the
+    last block's b is the closing bk exactly as it appears in the word, or
+    None when the word ends on 2ak. ``runs`` holds the maximal runs of equal
+    consecutive blocks as (ai, bi, count), so n pairs (2s, -2s) take one
+    item. ``a_entries`` (a1..ak), ``b_entries`` (b1..b(k-1), plus bk when
+    ``has_final_b``) and ``entries()`` are written out from the runs on
+    every read, at O(entries) cost each.
     """
 
-    a_entries: Tuple[int, ...]
-    b_entries: Tuple[int, ...]
-    has_final_b: bool
+    runs: Tuple[Tuple[int, Optional[int], int], ...]
 
-    def __post_init__(self):
-        k = len(self.a_entries)
+    def __init__(self, a_entries, b_entries, has_final_b: bool):
+        a_entries, b_entries = tuple(a_entries), tuple(b_entries)
+        k = len(a_entries)
         if k == 0:
             raise ValueError("an even expansion needs at least one a entry")
-        expected_b = k - 1 + (1 if self.has_final_b else 0)
-        if len(self.b_entries) != expected_b:
+        expected_b = k - 1 + (1 if has_final_b else 0)
+        if len(b_entries) != expected_b:
             raise ValueError(
-                f"expected {expected_b} b entries for k={k}, got {len(self.b_entries)}"
+                f"expected {expected_b} b entries for k={k}, got {len(b_entries)}"
             )
-        if 0 in islice(self.a_entries, 1, None):
+        if 0 in islice(a_entries, 1, None):
             raise ValueError("only the leading a entry may be zero")
-        if 0 in self.b_entries:
+        if 0 in b_entries:
             raise ValueError("b entries must be nonzero")
-        if self.has_final_b:
-            a_last, b_last = self.a_entries[-1], self.b_entries[-1]
+        if has_final_b:
+            a_last, b_last = a_entries[-1], b_entries[-1]
             if abs(b_last) == 1 and a_last != 0 and (a_last > 0) != (b_last > 0):
                 raise ValueError(
                     f"closing pair ({a_last}, {b_last}) must share a sign when bk is +-1"
                 )
+        runs: list = []
+        for a, b in zip_longest(a_entries, b_entries):
+            _add_blocks(runs, a, b, 1)
+        object.__setattr__(self, "runs", tuple(runs))
+
+    @classmethod
+    def _of_runs(cls, runs: tuple) -> "EvenCF":
+        """The expansion with these runs, which the caller has made maximal
+        and valid; nothing is checked."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "runs", runs)
+        return e
+
+    @property
+    def a_entries(self) -> Tuple[int, ...]:
+        entries: List[int] = []
+        for a, _, n in self.runs:
+            entries += (a,) * n
+        return tuple(entries)
+
+    @property
+    def b_entries(self) -> Tuple[int, ...]:
+        entries: list = []
+        for _, b, n in self.runs:
+            entries += (b,) * n
+        if entries[-1] is None:
+            entries.pop()
+        return tuple(entries)
+
+    @property
+    def has_final_b(self) -> bool:
+        return self.runs[-1][1] is not None
 
     def entries(self) -> Tuple[int, ...]:
         """The raw word (2a1, 2b1, ..., 2ak[, bk])."""
-        word = []
-        for i, a in enumerate(self.a_entries):
-            word.append(2 * a)
-            if i < len(self.a_entries) - 1:
-                word.append(2 * self.b_entries[i])
-        if self.has_final_b:
-            word.append(self.b_entries[-1])
+        word: List[int] = []
+        for a, b, n in self.runs:
+            word += (2 * a, 2 * b) * n if b is not None else (2 * a,)
+        if b is not None:
+            word[-1] = b  # the closing bk is stored whole
         return tuple(word)
 
     def __str__(self) -> str:
@@ -193,25 +238,33 @@ def _even_runs(x: Fraction) -> Tuple[list, int]:
 
 def even_cf_expand(x) -> EvenCF:
     """The unique constraint-satisfying even expansion of a rational."""
-    items = _even_runs(Fraction(x))[0]
-    halves: Tuple[List[int], List[int]] = ([], [])  # the a and b entries
-    slot = 0
-    for c in items:
-        if type(c) is _Run:
-            # n pairs (2s, -2s) give this slot n entries s and the other n entries -s.
-            halves[slot].extend([c.sign] * c.count)
-            halves[1 - slot].extend([-c.sign] * c.count)
+    *body, last = _even_runs(Fraction(x))[0]
+    runs: list = []
+    a = None  # the a entry of a block whose b is still to come
+    for c in body:
+        if type(c) is not _Run:
+            if a is None:
+                a = c // 2
+            else:
+                _add_blocks(runs, a, c // 2, 1)
+                a = None
+        elif a is None:
+            # n pairs (2s, -2s) from an a slot are n blocks (s, -s).
+            _add_blocks(runs, c.sign, -c.sign, c.count)
         else:
-            halves[slot].append(c // 2)
-            slot = 1 - slot
-    a, b = halves
-    has_final_b = slot == 0
-    if has_final_b:
-        b[-1] = items[-1]  # the closing bk is stored whole
-    # Lists size the tuples exactly; see two_bridge_slopes.
-    return EvenCF(tuple(a), tuple(b), has_final_b)
+            # From a b slot they close the open block with s, fill n - 1
+            # blocks (-s, s) and open one with -s.
+            _add_blocks(runs, a, c.sign, 1)
+            if c.count > 1:
+                _add_blocks(runs, -c.sign, c.sign, c.count - 1)
+            a = -c.sign
+    if a is None:
+        _add_blocks(runs, last // 2, None, 1)
+    else:
+        _add_blocks(runs, a, last, 1)  # the closing bk is stored whole
+    return EvenCF._of_runs(tuple(runs))
 
 
 def sum_a(e: EvenCF) -> int:
     """The sum of the a entries, the twist count of the change of basis."""
-    return sum(e.a_entries)
+    return sum([a * n for a, _, n in e.runs])

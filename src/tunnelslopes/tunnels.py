@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple
+from operator import neg
+from typing import Callable, Dict, Iterator, Tuple
 
 from .rationals import INFINITY, ResidueSlope, _excerpt, render, residue_of
 
@@ -125,8 +126,9 @@ def validate(t: TunnelParams) -> TunnelClass:
 
 
 def mirror(t: TunnelParams) -> TunnelParams:
-    """The parameters of the mirror-image tunnel: every slope negated."""
-    return TunnelParams(t.m0.negated(), tuple(-m for m in t.slopes), t.binaries)
+    """The parameters of the mirror-image tunnel: every slope negated. A run
+    of one shared slope object is negated once and stays shared."""
+    return TunnelParams(t.m0.negated(), tuple(_per_run(neg, t.slopes)), t.binaries)
 
 
 def is_amphichiral(t: TunnelParams) -> bool:
@@ -136,7 +138,11 @@ def is_amphichiral(t: TunnelParams) -> bool:
 
 def linking_number(t: TunnelParams) -> int:
     """Half the final even numerator (or even residue denominator) of a link tunnel."""
-    cls = validate(t)
+    return _linking_number(t, validate(t))
+
+
+def _linking_number(t: TunnelParams, cls: TunnelClass) -> int:
+    """``linking_number`` of t, whose class ``validate`` gave as cls."""
     if cls.target is not Target.LINK:
         raise ValueError("linking number is defined only for link tunnels")
     if t.m0.is_infinite:
@@ -146,20 +152,21 @@ def linking_number(t: TunnelParams) -> int:
     return abs(t.slopes[-1].numerator) // 2
 
 
-def _rendered(slopes: Tuple[Fraction, ...]) -> Iterator[str]:
-    """render of each slope, made once for a run of one shared object."""
-    last = text = None
+def _per_run(f: Callable, slopes: Tuple[Fraction, ...]) -> Iterator:
+    """f of each slope, computed once for a run of one shared object."""
+    last = value = None
     for m in slopes:
         if m is not last:
-            last, text = m, render(m)
-        yield text
+            last, value = m, f(m)
+        yield value
 
 
 def serialize(t: TunnelParams) -> str:
     """Stable text form: '[ p/q ], m1, ..., mn ; s2...sn' (bits only when n >= 2)."""
-    text = ", ".join([str(t.m0), *_rendered(t.slopes)])
+    text = ", ".join([str(t.m0), *_per_run(render, t.slopes)])
     if len(t.slopes) >= 2:
-        text += " ; " + "".join(map(str, t.binaries))
+        # "%d" writes an int as str does, for all of the bits in one step.
+        text += " ; " + ("%d" * len(t.binaries)) % t.binaries
     return text
 
 
@@ -215,14 +222,18 @@ def to_export(t: TunnelParams) -> Dict[str, object]:
     """Machine-readable form: m0, slopes, binaries, class, target, and the
     linking number when the tunnel belongs to a link. Rationals are rendered
     as exact strings so arbitrary precision survives the trip through JSON."""
-    cls = validate(t)
+    return _export(t, validate(t))
+
+
+def _export(t: TunnelParams, cls: TunnelClass) -> Dict[str, object]:
+    """``to_export`` of t, whose class ``validate`` gave as cls."""
     doc: Dict[str, object] = {
         "m0": render(t.m0.value),
-        "slopes": list(_rendered(t.slopes)),
+        "slopes": list(_per_run(render, t.slopes)),
         "binaries": list(t.binaries),
         "class": cls.kind.value,
         "target": cls.target.value,
     }
     if cls.target is Target.LINK:
-        doc["linking_number"] = linking_number(t)
+        doc["linking_number"] = _linking_number(t, cls)
     return doc

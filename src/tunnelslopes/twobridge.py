@@ -17,18 +17,23 @@ as a ``CablingStep``, and ``two_bridge_slopes``, which builds each slope once,
 in lowest terms, and lets a run of equal consecutive slopes share one
 ``Fraction``. The first cabling instead contributes the residue k1/(2k1 + 1)
 mod 1, where k1 is the final lower entry, less one when the last a entry is
-negative. All of the selection bits are zero for these tunnels. ``make_form``
-is the one validation of b/a; the records it builds are not checked again,
-and ``oracle.unit_rewrite_check`` certifies the walk against ``unit_rewrite``.
+negative. All of the selection bits are zero for these tunnels.
+
+The walk reads the runs of equal blocks (ai, bi) that ``EvenCF`` stores,
+never its written-out entries: a run of n blocks gives it at most two keys,
+n - 1 blocks whose lower neighbour is the same block and one whose lower
+neighbour ends the run below. So a form costs memory and Python steps per
+run, not per entry or per twist; only the tuples that ``two_bridge_slopes``
+and ``cabling_steps`` return grow with the twists. ``make_form`` is the one
+validation of b/a; the records it builds are not checked again, and
+``oracle.unit_rewrite_check`` certifies the walk against ``unit_rewrite``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, zip_longest
 from math import gcd
-from operator import countOf
 from typing import Iterator, List, Tuple
 
 from .contfrac import EvenCF, even_cf_expand
@@ -101,15 +106,13 @@ def unit_rewrite(e: EvenCF) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """
     if not e.has_final_b:
         raise ValueError("unit rewrite needs the odd-numerator (knot) form")
-    if any(a == 0 for a in e.a_entries):
+    if any(a == 0 for a, _, _ in e.runs):
         raise ValueError("unit rewrite needs every a entry nonzero (|value| > 1)")
     unit_a: List[int] = []
     unit_b: List[int] = []
-    for i, a in enumerate(e.a_entries):
-        unit = 1 if a > 0 else -1
-        unit_a.extend([unit] * abs(a))
-        unit_b.extend([0] * (abs(a) - 1))
-        unit_b.append(e.b_entries[i])
+    for a, b, n in e.runs:
+        unit_a += [1 if a > 0 else -1] * (abs(a) * n)
+        unit_b += ([0] * (abs(a) - 1) + [b]) * n
     return tuple(unit_a), tuple(unit_b)
 
 
@@ -148,7 +151,8 @@ def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
 
 
 def _first_residue(form: TwoBridgeForm) -> ResidueSlope:
-    k_first = form.expansion.b_entries[-1] - (form.expansion.a_entries[-1] < 0)
+    a_last, b_last, _ = form.expansion.runs[-1]
+    k_first = b_last - (a_last < 0)
     if k_first == 0:
         raise CablingContradictionError("first cabling has twist count 0")
     return residue_of(Fraction(k_first, 2 * k_first + 1))
@@ -158,18 +162,31 @@ def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, int, bool]]:
     """(count, index, k, even) per run of equal cablings after the first, in
     construction order: its length, highest twist index, twist count and
     whether its strand parity is even."""
-    a_entries, b_entries = form.expansion.a_entries, form.expansion.b_entries
-    b_last = b_entries[-1]
-    top = sum(map(abs, a_entries)) - 1
+    runs = form.expansion.runs
+    b_last = runs[-1][1]
     # Block j from the last to the first, keyed by (aj, a(j-1), b(j-1));
-    # block 0 has no lower neighbour and is keyed (a0, None, None).
-    lower_a, lower_b = reversed(a_entries), reversed(b_entries)
-    next(lower_a), next(lower_b)
-    for key, stretch in groupby(zip_longest(reversed(a_entries), lower_a, lower_b)):
+    # block 0 has no lower neighbour and is keyed (a0, None, None). A run of
+    # n equal blocks has n - 1 blocks keyed by itself and one keyed by the
+    # block below it; equal consecutive keys make one stretch.
+    stretches: list = []
+    key, count, top = None, 0, -1
+    for (a, b, n), (a_lower, b_lower, _) in zip(runs[::-1], runs[-2::-1] + ((None, None, 0),)):
+        top += abs(a) * n
+        if n > 1:
+            if key != (a, a, b):
+                stretches.append((key, count))
+                key, count = (a, a, b), 0
+            count += n - 1
+        if key != (a, a_lower, b_lower):
+            stretches.append((key, count))
+            key, count = (a, a_lower, b_lower), 0
+        count += 1
+    stretches.append((key, count))
+    del stretches[0]  # the empty stretch before the first key
+    for (a, a_lower, b), count in stretches:
         # Cablings whose successor twist lies in block j (sign e) have the
         # parity of b_last + (e + 1)/2: |aj| - 1 inside the block with k = e,
         # and for j > 0 one at the boundary, k = 2b(j-1) + (e + e')/2.
-        a, a_lower, b = key
         e = 1 if a > 0 else -1
         even = (b_last + (e + 1) // 2) % 2 == 0
         inner = abs(a) - 1
@@ -181,7 +198,7 @@ def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, int, bool]]:
         if k == 0:
             raise CablingContradictionError(f"cabling {top - max(inner, 0)} has twist count 0")
         if inner > 0:
-            for _ in stretch:
+            for _ in range(count):
                 yield inner, top, e, even
                 top -= inner
                 yield 1, top, k, even
@@ -189,7 +206,6 @@ def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, int, bool]]:
         else:
             # Blocks of one twist with equal keys, as a run of pairs
             # (2s, -2s) gives, have only their equal boundary cablings.
-            count = countOf(stretch, key)
             yield count, top, k, even
             top -= count
 
@@ -212,7 +228,13 @@ def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
     for count, _, k, even in _walk(form):
         if k != last_k or even is not last_even:
             last_k, last_even, slope = k, even, _cabling_slope(k, even)
-        slopes += [slope] * count
+        try:
+            slopes += [slope] * count
+        except OverflowError:
+            # A run longer than any list can be, as a few runs of (2s, -2s)
+            # can stand for; a shorter one that does not fit raises
+            # MemoryError itself.
+            raise MemoryError(f"a run of {count} equal slopes cannot be written out") from None
     # Built from a list, the tuple is allocated at its size. A tuple built
     # from a generator is resized from 10 slots, and when freed it lands on
     # a free list that only a full garbage collection empties.

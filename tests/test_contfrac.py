@@ -274,3 +274,104 @@ class TestRunFormAgainstReference:
         assert items == [_Run(1, 499_999), 2, -2] and total == 500_000
         items, total = _even_runs(Fraction(10**6 - 1, 10**6))
         assert items == [0, _Run(1, 499_998), 2, -2, 2] and total == -499_999
+
+
+def reference_entry_writer(x):
+    """The a entries, b entries and has_final_b of x, written entry by entry
+    from the run-form descent as even_cf_expand wrote them before EvenCF
+    stored runs: the reference for the run-form writer."""
+    items = _even_runs(Fraction(x))[0]
+    halves = ([], [])
+    slot = 0
+    for c in items:
+        if type(c) is _Run:
+            halves[slot].extend([c.sign] * c.count)
+            halves[1 - slot].extend([-c.sign] * c.count)
+        else:
+            halves[slot].append(c // 2)
+            slot = 1 - slot
+    a, b = halves
+    has_final_b = slot == 0
+    if has_final_b:
+        b[-1] = items[-1]
+    return tuple(a), tuple(b), has_final_b
+
+
+def reference_entries(a_entries, b_entries, has_final_b):
+    """The raw word, interleaved entry by entry."""
+    word = []
+    for i, a in enumerate(a_entries):
+        word.append(2 * a)
+        if i < len(a_entries) - 1:
+            word.append(2 * b_entries[i])
+    if has_final_b:
+        word.append(b_entries[-1])
+    return tuple(word)
+
+
+def assert_matches_entry_writer(x):
+    """even_cf_expand against the entry-by-entry writer: the runs are maximal,
+    the entries read back, and an EvenCF built from the entries is equal and
+    hashes the same."""
+    e = even_cf_expand(x)
+    a, b, has_final_b = reference_entry_writer(x)
+    assert all(n >= 1 for _, _, n in e.runs)
+    assert all(run[:2] != below[:2] for below, run in zip(e.runs, e.runs[1:]))
+    assert (e.a_entries, e.b_entries, e.has_final_b) == (a, b, has_final_b)
+    assert e.entries() == reference_entries(a, b, has_final_b)
+    assert sum_a(e) == sum(a)
+    from_entries = EvenCF(a, b, has_final_b)
+    assert from_entries == e and hash(from_entries) == hash(e)
+    assert from_entries.runs == e.runs
+
+
+# (N + 2)/N for odd N, of either sign: about N entries, nearly all of them
+# pairs (2, -2) from an a slot, and N/(N + 2), whose run starts at a b slot.
+NEAR_ONE_FAMILY = [
+    s * Fraction(n + 2, n) ** p
+    for n in [*range(1, 300, 2), 999, 10**4 + 1, 10**5 - 1]
+    for s in (1, -1)
+    for p in (1, -1)
+]
+
+
+class TestRunStorage:
+    @given(run_families)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_entry_writer(self, x):
+        # The reference writes every entry out, and a random 80-digit
+        # fraction within 10^-80 of 1 or -1 has about 10^80 of them.
+        assume(sum(2 * c.count if type(c) is _Run else 1 for c in _even_runs(x)[0]) <= 10**5)
+        assert_matches_entry_writer(x)
+
+    def test_matches_entry_writer_near_one(self):
+        for x in NEAR_ONE_FAMILY:
+            assert_matches_entry_writer(x)
+
+    def test_a_run_of_pairs_is_one_item(self):
+        e = even_cf_expand(Fraction(10**6 + 1, 10**6))
+        assert e.runs == ((1, -1, 499_999), (1, -2, 1))
+        e = even_cf_expand(Fraction(10**6 - 1, 10**6))
+        assert e.runs == ((0, 1, 1), (-1, 1, 499_998), (-1, 2, 1))
+
+    def test_closing_block_joins_an_equal_run(self):
+        # 49/22 = [2, 4, 2, 2]: the closing bk = 2 stored whole equals the
+        # halved b1 = 2, so both blocks are (1, 2).
+        e = even_cf_expand(Fraction(49, 22))
+        assert e.runs == ((1, 2, 2),)
+        assert (e.a_entries, e.b_entries, e.entries()) == ((1, 1), (2, 2), (2, 4, 2, 2))
+
+    def test_no_final_b(self):
+        e = even_cf_expand(Fraction(2))
+        assert e.runs == ((1, None, 1),)
+        assert (e.a_entries, e.b_entries, e.has_final_b, e.entries()) == ((1,), (), False, (2,))
+
+    def test_entries_constructor_merges_runs(self):
+        e = EvenCF((1, 1, 1, 2), (-1, -1, -2, 1), True)
+        assert e.runs == ((1, -1, 2), (1, -2, 1), (2, 1, 1))
+        assert e == even_cf_expand(cf_eval(e.entries()))
+
+    def test_equality_and_hash_are_by_value(self):
+        assert EvenCF([1, 2], [-2, 1], True) == EvenCF((1, 2), (-2, 1), True)
+        assert len({EvenCF((1, 2), (-2, 1), True), even_cf_expand(Fraction(33, 19))}) == 1
+        assert EvenCF((1,), (), False) != EvenCF((1,), (1,), True)

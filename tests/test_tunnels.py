@@ -14,13 +14,17 @@ from tunnelslopes import (
     ValidationError,
     is_amphichiral,
     linking_number,
+    make_form,
     mirror,
     parse,
+    render,
     residue_of,
     serialize,
     to_export,
+    two_bridge_slopes,
     validate,
 )
+import tunnelslopes.tunnels
 
 
 def params(m0, slopes=(), binaries=()):
@@ -145,6 +149,25 @@ class TestMirror:
     def test_classification_preserved(self):
         assert validate(mirror(TREFOILISH)) == validate(TREFOILISH)
 
+    def test_a_run_of_one_shared_slope_stays_shared(self):
+        three, five_thirds = Fraction(3), Fraction(5, 3)
+        t = TunnelParams(residue_of(Fraction(1, 3)), (three,) * 4 + (five_thirds,) * 3 + (three,), (0,) * 7)
+        slopes = mirror(t).slopes
+        assert slopes == (-three,) * 4 + (-five_thirds,) * 3 + (-three,)
+        assert [m is slopes[0] for m in slopes[:4]] == [True] * 4
+        assert [m is slopes[4] for m in slopes[4:7]] == [True] * 3
+        assert slopes[3] is not slopes[4]
+        assert mirror(mirror(t)) == t
+
+    def test_mirror_of_a_two_bridge_tuple_renders_each_run_once(self, monkeypatch):
+        t = two_bridge_slopes(make_form(200001, 199999))
+        calls = []
+        monkeypatch.setattr(tunnelslopes.tunnels, "render", lambda m: calls.append(m) or render(m))
+        text = serialize(mirror(t))
+        assert len(calls) == len({id(m) for m in t.slopes}) < 10
+        assert text == reference_serialize(reference_mirror(t))
+        assert mirror(mirror(t)) == t
+
 
 class TestAmphichirality:
     def test_the_three_fixed_tuples(self):
@@ -257,6 +280,33 @@ def valid_tunnels(draw):
 def test_mirror_involution_and_class_preservation(t):
     assert mirror(mirror(t)) == t
     assert validate(mirror(t)) == validate(t)
+
+
+def reference_mirror(t):
+    """mirror as it negated every slope on its own."""
+    return TunnelParams(t.m0.negated(), tuple(-m for m in t.slopes), t.binaries)
+
+
+def reference_serialize(t):
+    """serialize as it rendered every slope and wrote one str() per bit."""
+    text = ", ".join([str(t.m0), *map(render, t.slopes)])
+    if len(t.slopes) >= 2:
+        text += " ; " + "".join(map(str, t.binaries))
+    return text
+
+
+@given(valid_tunnels())
+def test_mirror_and_serialize_match_the_references(t):
+    assert mirror(t) == reference_mirror(t)
+    assert serialize(mirror(t)) == reference_serialize(reference_mirror(t))
+    assert to_export(mirror(t)) == to_export(reference_mirror(t))
+
+
+@given(st.lists(st.integers(), min_size=2, max_size=6), st.lists(st.integers(), max_size=6))
+def test_serialize_writes_any_bits_as_str_does(slopes, bits):
+    # serialize does not validate, so any ints may stand in the bits.
+    t = params(Fraction(1, 3), slopes, bits)
+    assert serialize(t) == reference_serialize(t)
 
 
 @given(valid_tunnels())

@@ -1,9 +1,14 @@
+import importlib.util
 import random
+import sys
 import tracemalloc
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from itertools import groupby, islice, zip_longest
 from math import gcd
+from operator import countOf
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -32,8 +37,12 @@ from tunnelslopes import (
 )
 import tunnelslopes.oracle
 import tunnelslopes.twobridge
+from tunnelslopes.contfrac import _even_runs
 from tunnelslopes.oracle import unit_rewrite_check
 from tunnelslopes.twobridge import _unit_word, _walk
+
+from test_contfrac import reference_entry_writer, run_families
+from test_tunnels import reference_serialize
 
 
 KNOWN_SEQUENCES = [
@@ -184,14 +193,16 @@ class TestCablingStep:
     # make_form never builds these expansions (EvenCF rejects them), but a
     # TwoBridgeForm is a plain record, so the walk keeps its guards.
     def test_zero_first_twist_rejected(self):
-        expansion = SimpleNamespace(a_entries=(2, -1), b_entries=(-2, 1))
+        # a = (2, -1), b = (-2, 1)
+        expansion = SimpleNamespace(runs=((2, -2, 1), (-1, 1, 1)))
         form = replace(make_form(33, 19), expansion=expansion)
         for compute in (cabling_steps, two_bridge_slopes):
             with pytest.raises(CablingContradictionError, match="^first cabling has twist count 0$"):
                 compute(form)
 
     def test_zero_later_twist_rejected(self):
-        expansion = SimpleNamespace(a_entries=(1, -1, 1), b_entries=(-2, 0, 1))
+        # a = (1, -1, 1), b = (-2, 0, 1)
+        expansion = SimpleNamespace(runs=((1, -2, 1), (-1, 0, 1), (1, 1, 1)))
         form = replace(make_form(33, 19), expansion=expansion)
         for compute in (cabling_steps, two_bridge_slopes):
             with pytest.raises(CablingContradictionError, match="^cabling 2 has twist count 0$"):
@@ -529,3 +540,101 @@ def test_form_memory_does_not_grow_with_the_twists():
         tracemalloc.stop()
     assert form.expansion.entries() == (1000000, 2)
     assert peak < 1_000_000
+
+
+def reference_grouped_walk(form):
+    """The walk as it grouped the expansion's entries before EvenCF stored
+    runs: one key per block, read off the written-out entries, and equal
+    consecutive keys grouped. The reference for the walk over the runs."""
+    a_entries, b_entries = form.expansion.a_entries, form.expansion.b_entries
+    b_last = b_entries[-1]
+    top = sum(map(abs, a_entries)) - 1
+    lower_a, lower_b = reversed(a_entries), reversed(b_entries)
+    next(lower_a), next(lower_b)
+    for key, stretch in groupby(zip_longest(reversed(a_entries), lower_a, lower_b)):
+        a, a_lower, b = key
+        e = 1 if a > 0 else -1
+        even = (b_last + (e + 1) // 2) % 2 == 0
+        inner = abs(a) - 1
+        if a_lower is None:
+            if inner > 0:
+                yield inner, top, e, even
+            return
+        k = 2 * b + (e + (1 if a_lower > 0 else -1)) // 2
+        if k == 0:
+            raise CablingContradictionError(f"cabling {top - max(inner, 0)} has twist count 0")
+        if inner > 0:
+            for _ in stretch:
+                yield inner, top, e, even
+                top -= inner
+                yield 1, top, k, even
+                top -= 1
+        else:
+            count = countOf(stretch, key)
+            yield count, top, k, even
+            top -= count
+
+
+def assert_matches_entry_walk(form):
+    """The expansion, the walk and the serialized slopes of a form against
+    the entry-by-entry writer, the grouped walk and str() per bit."""
+    x = Fraction(form.b, form.a)
+    assert form.expansion == EvenCF(*reference_entry_writer(x))
+    assert list(_walk(form)) == list(reference_grouped_walk(form))
+    t = two_bridge_slopes(form)
+    assert serialize(t) == reference_serialize(t)
+    assert t.slopes == reference_slopes(form)
+
+
+def slopes_2bridge_pools():
+    """Both slopes-2bridge benchmark pools, seeds 1 and 2, as (b, a) draws."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [item for seed in (1, 2) for item in workloads.build_two_bridge(seed, False)]
+
+
+def test_runs_match_the_entries_on_the_benchmark_pools():
+    pools = slopes_2bridge_pools()
+    assert len(pools) == 2030
+    for item in pools:
+        for form in normalize_input(*item):
+            assert_matches_entry_walk(form)
+
+
+def test_runs_match_the_entries_near_one():
+    for pair in NEAR_ONE_INVARIANTS:
+        for form in normalize_input(*pair):
+            assert_matches_entry_walk(form)
+
+
+@given(run_families)
+@settings(max_examples=300, deadline=None)
+def test_runs_match_the_entries_on_run_families(x):
+    assume(x.numerator % 2 and abs(x.numerator) > 1)
+    forms = normalize_input(x.numerator, x.denominator)
+    # The references write out every twist; odd integers up to 2 * 10^6
+    # would give a million.
+    assume(all(sum(abs(a) * n for a, _, n in f.expansion.runs) <= 10**4 for f in forms))
+    for form in forms:
+        assert_matches_entry_walk(form)
+
+
+def test_form_of_a_huge_run_stays_small():
+    # (N + 1)/(N - 1) with N = 10^16: 5 * 10^15 entries in two runs.
+    b, a = 10**16 + 1, 10**16 - 1
+    make_form(7, 5)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        form = make_form(b, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    assert len(form.expansion.runs) == 2
+    assert sum_a(form.expansion) == _even_runs(Fraction(b, a))[1] == 25 * 10**14
+    walk = list(islice(_walk(form), 9))
+    assert len(walk) <= 8
+    assert sum(count for count, _, _, _ in walk) == 25 * 10**14 - 1
