@@ -4,8 +4,10 @@ unique constraint-satisfying one at desk scale, word matrices encode exactly
 the continued fractions of their words, and 2-bridge unit rewrites keep b/a
 and give the twist counts of the cabling walk.
 
-All three checks evaluate words with their own fold of projective c + 1/x
-steps, sharing nothing with the integer fold or the expansion they certify.
+All three checks fold integer words with their own loop on pairs (n, d) =
+n/d, sharing nothing with the fold or the expansion they certify; a value
+becomes a ``Fraction`` or ``INFINITY`` only as an enumeration key or in a
+violation message.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .contfrac import even_cf_expand
-from .rationals import INFINITY, ProjectiveRational, projective_add_invert, render
+from .rationals import _quotient, render
 from .sl2 import word_product
 from .twobridge import TwoBridgeForm, _unit_word, cabling_steps, make_form, unit_rewrite
 
@@ -40,42 +42,13 @@ class OracleReport:
         return line
 
 
-def _eval_raw(entries: Tuple[ProjectiveRational, ...]) -> ProjectiveRational:
-    # The reference evaluation, right to left; INFINITY and zero tails
-    # follow projective_add_invert's conventions.
-    acc = entries[-1] if entries[-1] is INFINITY else Fraction(entries[-1])
-    for c in reversed(entries[:-1]):
-        acc = projective_add_invert(c, acc)
-    return acc
-
-
-def _candidate_words(
-    length: int, max_entry: int, enforce_sign_rule: bool
-) -> Iterator[Tuple[Tuple[int, ...], ProjectiveRational]]:
-    """Every candidate word of one length with its value under the reference
-    fold. Words grow from the last entry leftwards, so each suffix is folded
-    once for all the words that end with it."""
-    entries = range(-max_entry, max_entry + 1)
-    evens = [e for e in entries if e % 2 == 0]
-    evens_nonzero = [e for e in evens if e != 0]
-    choices = [evens] + [evens_nonzero] * (length - 1)
-    closing_b = length % 2 == 0
-    if closing_b:
-        choices[-1] = [e for e in entries if e != 0]
-    sign_rule = enforce_sign_rule and closing_b
-
-    def extend(word, value):
-        if len(word) == length:
-            yield word, value
-            return
-        for c in choices[-1 - len(word)]:
-            # The closing pair (ak, +-1) must share a sign; only a closing b
-            # entry is odd.
-            if not (sign_rule and abs(word[0]) == 1 and c * word[0] < 0):
-                yield from extend((c,) + word, projective_add_invert(c, value))
-
-    for e in choices[-1]:
-        yield from extend((e,), Fraction(e))
+def _eval_raw(word: Tuple[int, ...]) -> Tuple[int, int]:
+    # The reference fold, right to left: c + 1/(n/d) = (c*n + d)/n. Each step
+    # is unimodular, so (n, d) != (0, 0); d = 0 is INFINITY, as for 1/0.
+    n, d = word[-1], 1
+    for c in reversed(word[:-1]):
+        n, d = c * n + d, n
+    return n, d
 
 
 def enumerate_even_cfs(
@@ -89,10 +62,30 @@ def enumerate_even_cfs(
     """
     if max_len > 5 or max_entry > 8:
         raise ValueError("enumeration bounds are desk scale: max_len <= 5, max_entry <= 8")
+    entries = range(-max_entry, max_entry + 1)
+    evens = [e for e in entries if e % 2 == 0]
+    evens_nonzero = [e for e in evens if e != 0]
     grouped: Dict[Fraction, List[Tuple[int, ...]]] = {}
     for length in range(1, max_len + 1):
-        for word, value in _candidate_words(length, max_entry, enforce_sign_rule):
-            grouped.setdefault(value, []).append(word)
+        choices = [evens] + [evens_nonzero] * (length - 1)
+        closing_b = length % 2 == 0
+        if closing_b:
+            choices[-1] = [e for e in entries if e != 0]
+        sign_rule = enforce_sign_rule and closing_b
+        # Words grow from the last entry leftwards with their values n/d, so
+        # each suffix is folded once for all the words that end with it.
+        words = [((e,), e, 1) for e in choices[-1]]
+        for choice in reversed(choices[:-1]):
+            # The closing pair (ak, +-1) must share a sign; only a closing b
+            # entry is odd.
+            words = [
+                ((c,) + word, c * n + d, n)
+                for word, n, d in words
+                for c in choice
+                if not (sign_rule and abs(word[0]) == 1 and c * word[0] < 0)
+            ]
+        for word, n, d in words:
+            grouped.setdefault(_quotient(n, d), []).append(word)
     return grouped
 
 
@@ -141,12 +134,11 @@ def random_word_dictionary_check(samples: int, seed: int) -> OracleReport:
             ("p/r", m.p, m.r, reverse[:-1]),
         )
         for label, num, den, entries in checks:
-            matrix_side = INFINITY if den == 0 else Fraction(num, den)
-            cf_side = _eval_raw(entries)
-            if matrix_side != cf_side:
+            n, d = _eval_raw(entries)
+            if num * d != den * n:
                 violations.append(
-                    f"word {word} {label}: matrix {render(matrix_side)}, "
-                    f"continued fraction {render(cf_side)}"
+                    f"word {word} {label}: matrix {render(_quotient(num, den))}, "
+                    f"continued fraction {render(_quotient(n, d))}"
                 )
     return OracleReport(
         "cf/matrix dictionary", checked=samples, violations=tuple(sorted(violations))
@@ -164,8 +156,8 @@ def unit_rewrite_check(forms: List[TwoBridgeForm]) -> OracleReport:
         ua, ub = unit_rewrite(f.expansion)
         if len(ua) != twists:
             violations.append(f"{f.b}/{f.a}: {len(ua)} units for {twists} twists")
-        elif (value := _eval_raw(_unit_word(ua, ub))) != Fraction(f.b, f.a):
-            violations.append(f"{f.b}/{f.a}: unit word evaluates to {render(value)}")
+        elif (value := _eval_raw(_unit_word(ua, ub)))[0] * f.a != value[1] * f.b:
+            violations.append(f"{f.b}/{f.a}: unit word evaluates to {render(_quotient(*value))}")
         elif [(s.index, s.k) for s in cabling_steps(f)[1]] != [
             (i, 2 * ub[i - 1] + (ua[i] + ua[i - 1]) // 2) for i in range(len(ua) - 1, 0, -1)
         ]:

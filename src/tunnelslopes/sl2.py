@@ -81,7 +81,7 @@ def cf_entries_from_word(word: Iterable[int]) -> Tuple[ProjectiveRational, ...]:
     word, and the reversed word without its last entry, a word of odd length
     being padded with a final zero. These are identities of the fold of
     symmetric (c 1 / 1 0) behind ``word_product``; the oracle certifies them
-    along ``c + 1/x`` steps.
+    with its own fold of integer pairs.
     """
     word = tuple(word)
     if not word:

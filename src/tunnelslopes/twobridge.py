@@ -211,12 +211,18 @@ def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, int, bool]]:
 
 
 def cabling_steps(form: TwoBridgeForm) -> Tuple[ResidueSlope, Tuple[CablingStep, ...]]:
-    """The first-cabling residue and the later cablings in construction order."""
-    return _first_residue(form), tuple(
-        CablingStep(i, k, "even" if even else "odd")
-        for count, top, k, even in _walk(form)
-        for i in range(top, top - count, -1)
-    )
+    """The first-cabling residue and the later cablings in construction order;
+    the result is sized from the walk's counts before any step is built, so a
+    form with more cablings than memory holds fails at once."""
+    m0, items = _first_residue(form), list(_walk(form))
+    try:
+        steps = [None] * sum(item[0] for item in items)
+    except OverflowError:
+        raise MemoryError(f"{form.b}/{form.a} has too many cablings to write out") from None
+    cablings = ((i, k, even) for count, top, k, even in items for i in range(top, top - count, -1))
+    for at, (i, k, even) in enumerate(cablings):
+        steps[at] = CablingStep(i, k, "even" if even else "odd")
+    return m0, tuple(steps)
 
 
 def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:

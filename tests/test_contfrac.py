@@ -13,6 +13,7 @@ from tunnelslopes import (
     even_cf_expand,
     projective_add_invert,
     st_convert,
+    st_convert_via_matrix,
     sum_a,
     word_product,
 )
@@ -244,10 +245,34 @@ def reference_conversion_word(x, expansion):
     return (lead,) + tuple(-c for c in reversed(expansion.entries()[1:]))
 
 
+# The reference descent writes every entry out, one Fraction step each; a
+# random 80-digit fraction within 10^-80 of 1 or -1 has about 10^80 of them.
+REFERENCE_CAP = 10**5
+
+
+def entry_count(x, cap=REFERENCE_CAP):
+    """The length of x's even expansion, or cap + 1 if it is longer, counted
+    by a plain descent on ints that stops there."""
+    u, v = x.numerator, x.denominator
+    count = 0
+    while v != 1:
+        if count == cap:
+            return cap + 1
+        e = 2 * ((u + v) // (2 * v))
+        u, v = (v, u - e * v) if u > e * v else (-v, e * v - u)
+        count += 1
+    # The closing step: a lone b entry, an even a entry, or an odd integer
+    # split into a and b entries.
+    return min(count + (2 if count % 2 == 0 and u % 2 else 1), cap + 1)
+
+
 class TestRunFormAgainstReference:
     @given(run_families)
     @settings(max_examples=400, deadline=None)
     def test_expansion_and_twist_sum(self, x):
+        if entry_count(x) > REFERENCE_CAP:
+            assert cf_eval(_even_runs(x)[0]) == x
+            return
         reference = reference_even_cf_expand(x)
         assert even_cf_expand(x) == reference
         assert _even_runs(x)[1] == sum(reference.a_entries) == sum_a(reference)
@@ -256,11 +281,35 @@ class TestRunFormAgainstReference:
     @settings(max_examples=400, deadline=None)
     def test_conversion_and_change_of_basis(self, x):
         assume(x.numerator % 2)
+        if entry_count(x) > REFERENCE_CAP:
+            # Facts that write nothing out: the conversion is an involution
+            # on q/p with q * q' = -1 (mod p), and the matrix route agrees.
+            converted = st_convert(x)
+            assert st_convert(converted) == x
+            assert converted.denominator == x.denominator
+            assert (x.numerator * converted.numerator + 1) % x.denominator == 0
+            assert st_convert_via_matrix(x) == converted
+            return
         reference = reference_even_cf_expand(x)
         word = reference_conversion_word(x, reference)
         assert conversion_word(x) == word
         assert st_convert(x) == cf_eval(word)
         assert change_of_basis(x) == word_product(reference.entries() + (-word[0],))
+
+    @pytest.mark.parametrize(
+        "x",
+        [Fraction(33, 19), Fraction(-7, 5), Fraction(4), Fraction(-5), Fraction(1), Fraction(3, 2)]
+        + [s * Fraction(p + d, p) for p in (1, 2, 3, 10, 999) for s in (1, -1) for d in (1, -1)],
+    )
+    def test_entry_count_is_the_reference_length(self, x):
+        length = len(reference_even_cf_expand(x).entries())
+        assert entry_count(x) == entry_count(x, length) == length
+        assert entry_count(x, length - 1) == length
+
+    @pytest.mark.parametrize("x", [Fraction(10**80 + 1, 10**80), Fraction(-(10**80) + 1, 10**80)])
+    def test_entry_count_stops_at_the_cap(self, x):
+        # About 10^80 entries, counted only up to the cap.
+        assert entry_count(x) == REFERENCE_CAP + 1
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("count", range(7))

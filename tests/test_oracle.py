@@ -2,19 +2,27 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import tunnelslopes.oracle
 from tunnelslopes import (
+    INFINITY,
+    SL2Matrix,
     check_uniqueness,
     enumerate_even_cfs,
+    even_cf_expand,
     random_word_dictionary_check,
     selfcheck,
 )
 from tunnelslopes.oracle import _eval_raw
 
+from test_contfrac import reference_fold
+
 
 def reference_enumerate_even_cfs(max_len, max_entry, enforce_sign_rule=True):
     """The enumeration as a product over each position's choices, every word
-    folded in full: the reference for the suffix-sharing walk."""
+    folded in full with Fraction steps: the reference for the suffix-sharing
+    walk on integer pairs."""
     grouped = {}
     entries = range(-max_entry, max_entry + 1)
     evens = [e for e in entries if e % 2 == 0]
@@ -27,8 +35,17 @@ def reference_enumerate_even_cfs(max_len, max_entry, enforce_sign_rule=True):
         sign_rule = enforce_sign_rule and closing_b
         for seq in product(*choices):
             if not (sign_rule and abs(seq[-1]) == 1 and seq[-2] * seq[-1] < 0):
-                grouped.setdefault(_eval_raw(seq), []).append(seq)
+                grouped.setdefault(reference_fold(seq), []).append(seq)
     return grouped
+
+
+@given(st.lists(st.integers(-8, 8), min_size=1, max_size=8))
+@example([3, 0])  # 3 + 1/0 is INFINITY
+@example([5, 3, 0])  # 5 + 1/INFINITY is 5
+def test_pair_fold_is_the_fraction_fold(word):
+    n, d = _eval_raw(tuple(word))
+    assert (n, d) != (0, 0)
+    assert (INFINITY if d == 0 else Fraction(n, d)) == reference_fold(word)
 
 
 class TestEnumeration:
@@ -72,11 +89,24 @@ class TestUniqueness:
         report = check_uniqueness(ablated)
         assert not report.ok
         assert any("expansions" in v for v in report.violations)
+        assert "3 has 2 expansions: [2, 1], [4, -1]" in report.violations
 
     def test_empty_enumeration_is_clean(self):
         report = check_uniqueness({})
         assert report.ok
         assert report.checked == 0
+
+    def test_expander_mismatch_violation_text(self, monkeypatch):
+        # An expander that is off by one gives each integer x the expansion
+        # of x + 1: -1 = [0, -1], 1 = [0, 1], 3 = [2, 1].
+        monkeypatch.setattr(tunnelslopes.oracle, "even_cf_expand", lambda x: even_cf_expand(x + 1))
+        report = check_uniqueness(enumerate_even_cfs(1, 2))
+        assert report.checked == 3
+        assert report.violations == (
+            "-2: expand gives [0, -1], enumeration has [-2]",
+            "0: expand gives [0, 1], enumeration has [0]",
+            "2: expand gives [2, 1], enumeration has [2]",
+        )
 
     def test_violations_are_sorted(self):
         report = check_uniqueness(enumerate_even_cfs(4, 4, enforce_sign_rule=False))
@@ -97,6 +127,17 @@ class TestDictionaryCheck:
         assert report.ok
         assert report.checked == 0
 
+    def test_wrong_matrix_violation_text(self, monkeypatch):
+        # Seed 10 draws the word (2, 3), whose matrix has q/p = 2 + 1/3,
+        # s/r = 2, q/s = 3 + 1/2 and p/r = 3; the identity has 1/0 and 0.
+        monkeypatch.setattr(tunnelslopes.oracle, "word_product", lambda word: SL2Matrix(1, 0, 0, 1))
+        assert random_word_dictionary_check(1, 10).violations == (
+            "word (2, 3) p/r: matrix 0, continued fraction 3",
+            "word (2, 3) q/p: matrix 1/0, continued fraction 7/3",
+            "word (2, 3) q/s: matrix 1/0, continued fraction 7/2",
+            "word (2, 3) s/r: matrix 0, continued fraction 2",
+        )
+
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             random_word_dictionary_check(-1, 0)
@@ -108,3 +149,11 @@ def test_selfcheck_is_clean():
     assert all(r.ok for r in reports)
     for report in reports:
         assert "ok" in report.summary()
+
+
+def test_selfcheck_golden_reports():
+    assert [r.summary() for r in selfcheck()] == [
+        "even-cf uniqueness: ok (3109 checked)",
+        "cf/matrix dictionary: ok (200 checked)",
+        "2-bridge unit rewrite: ok (164 checked)",
+    ]

@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from collections import deque
@@ -638,3 +640,30 @@ def test_form_of_a_huge_run_stays_small():
     walk = list(islice(_walk(form), 9))
     assert len(walk) <= 8
     assert sum(count for count, _, _, _ in walk) == 25 * 10**14 - 1
+
+
+CAPPED_CABLING_STEPS = """
+import resource, time
+limit = 400 * 2**20
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+from tunnelslopes import cabling_steps, make_form
+form = make_form(10**16 + 1, 10**16 - 1)
+start = time.perf_counter()
+try:
+    cabling_steps(form)
+except MemoryError:
+    print(time.perf_counter() - start)
+"""
+
+
+def test_cabling_steps_beyond_memory_fail_at_once():
+    # (N + 1)/(N - 1) with N = 10^16 has about 2.5 * 10^15 cablings. In a child
+    # whose address space is capped near 400 MB, sizing the result from the
+    # walk's counts fails before any CablingStep is built.
+    env = {**os.environ, "PYTHONPATH": str(Path(tunnelslopes.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CABLING_STEPS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
