@@ -24,7 +24,7 @@ from .rationals import _excerpt, parse_rational, render
 from .tunnels import (
     _export,
     _linking_number,
-    _per_run,
+    _slope_text,
     Target,
     TunnelClass,
     TunnelKind,
@@ -65,10 +65,6 @@ def _lift_digit_limit() -> None:
         sys.set_int_max_str_digits(0)
 
 
-def _slopes_line(t: TunnelParams) -> str:
-    return ", ".join([str(t.m0), *_per_run(render, t.slopes)])
-
-
 def cmd_convert(args: argparse.Namespace) -> int:
     x = parse_rational(_strip_parens(args.value))
     _lift_digit_limit()
@@ -89,7 +85,7 @@ def cmd_slopes(args: argparse.Namespace) -> int:
     _lift_digit_limit()
     forms = normalize_input(b, a) if args.both else [make_form(b, a)]
     for form in forms:
-        print(_slopes_line(two_bridge_slopes(form)))
+        print(_slope_text(two_bridge_slopes(form)))
     return 0
 
 

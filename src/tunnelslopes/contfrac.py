@@ -38,12 +38,12 @@ to M = (-3 2s / -2s 1) = -I + N with N^2 = 0, so a run folds in one step as
 
     M^n = (-1)^n (I - nN) = (-1)^n (1 + 2n, -2sn / 2sn, 1 - 2n),
 
-and conversion and change of basis cost a few steps per regular partial
-quotient instead of one per entry. ``EvenCF`` stores the expansion in the
-same spirit, as runs of equal blocks (ai, bi), and ``even_cf_expand`` turns
-each run item into one or two of them, so the expansion of (p + 1)/p takes
-a few items of memory however large p is. The entries are written out only
-when ``a_entries``, ``b_entries`` or ``entries()`` is read.
+and change of basis, which conversion reads, costs a few steps per regular
+partial quotient instead of one per entry. ``EvenCF`` stores the expansion
+in the same spirit, as runs of equal blocks (ai, bi), and ``even_cf_expand``
+turns each run item into one or two of them, so the expansion of (p + 1)/p
+takes a few items of memory however large p is. The entries are written
+out only when ``a_entries``, ``b_entries`` or ``entries()`` is read.
 """
 
 from __future__ import annotations
@@ -83,17 +83,6 @@ def _fold(word: Iterable[ProjectiveRational]) -> Tuple[int, int, int, int]:
             n, d = (1, 0) if c is INFINITY else Fraction(c).as_integer_ratio()
             q, s, p, r = q * n + s * d, q * d, p * n + r * d, p * d
     return q, s, p, r
-
-
-def _expand(items: Iterable) -> List[int]:
-    """The raw word of a run-form word: each ``_Run`` written out in full."""
-    raw: List[int] = []
-    for c in items:
-        if type(c) is _Run:
-            raw += (2 * c.sign, -2 * c.sign) * c.count
-        else:
-            raw.append(c)
-    return raw
 
 
 def cf_eval(entries: Iterable[ProjectiveRational]) -> ProjectiveRational:

@@ -10,16 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Union
 
 
-class DegenerateFractionError(ValueError):
-    """The fraction 0/0 has no value."""
-
-
 class NotFiniteError(ValueError):
-    """A nonzero numerator over a zero denominator is not a finite rational."""
+    """The infinite residue has no finite numerator or denominator."""
 
 
 class IndeterminateFormError(ArithmeticError):
@@ -46,15 +41,6 @@ class _Infinity:
 INFINITY = _Infinity()
 
 ProjectiveRational = Union[Fraction, _Infinity]
-
-
-def reduce(numerator: int, denominator: int) -> Fraction:
-    """Canonical reduced fraction with a positive denominator."""
-    if numerator == 0 and denominator == 0:
-        raise DegenerateFractionError("0/0 is degenerate")
-    if denominator == 0:
-        raise NotFiniteError(f"{numerator}/0 is not finite (use INFINITY)")
-    return Fraction(numerator, denominator)
 
 
 def render(x) -> str:
@@ -88,35 +74,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {_excerpt(text)}") from exc
 
 
-@dataclass(frozen=True)
-class SlopePair:
-    """The unordered coordinate pair {(p, q), (-p, -q)} of a slope.
-
-    The stored representative has q > 0, or q = 0 and p > 0, so equality of
-    values is equality of fields.
-    """
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p == 0 and self.q == 0:
-            raise ValueError("slope pair (0, 0) is not allowed")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"slope pair ({self.p}, {self.q}) is not coprime")
-        if self.q < 0 or (self.q == 0 and self.p < 0):
-            object.__setattr__(self, "p", -self.p)
-            object.__setattr__(self, "q", -self.q)
-
-
 def _quotient(numerator: int, denominator: int) -> ProjectiveRational:
     """numerator/denominator, or INFINITY when denominator = 0."""
     return INFINITY if denominator == 0 else Fraction(numerator, denominator)
-
-
-def slope_of_pair(sp: SlopePair) -> ProjectiveRational:
-    """The slope q/p of a pair, infinite exactly when p = 0."""
-    return _quotient(sp.q, sp.p)
 
 
 @dataclass(frozen=True)

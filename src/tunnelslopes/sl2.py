@@ -38,14 +38,6 @@ class SL2Matrix:
                 f"determinant of ({self.q} {self.s} / {self.p} {self.r}) is not 1"
             )
 
-    def __mul__(self, other: "SL2Matrix") -> "SL2Matrix":
-        return SL2Matrix(
-            self.q * other.q + self.s * other.p,
-            self.q * other.s + self.s * other.r,
-            self.p * other.q + self.r * other.p,
-            self.p * other.s + self.r * other.r,
-        )
-
     def inverse(self) -> "SL2Matrix":
         return SL2Matrix(self.r, -self.s, -self.p, self.q)
 
@@ -54,9 +46,6 @@ class SL2Matrix:
 
     def first_column_slope(self) -> ProjectiveRational:
         return _quotient(self.q, self.p)
-
-
-IDENTITY = SL2Matrix(1, 0, 0, 1)
 
 
 def word_product(exponents: Iterable[int]) -> SL2Matrix:

@@ -161,9 +161,14 @@ def _per_run(f: Callable, slopes: Tuple[Fraction, ...]) -> Iterator:
         yield value
 
 
+def _slope_text(t: TunnelParams) -> str:
+    """'[ p/q ], m1, ..., mn': the text of ``serialize`` before the bits."""
+    return ", ".join([str(t.m0), *_per_run(render, t.slopes)])
+
+
 def serialize(t: TunnelParams) -> str:
     """Stable text form: '[ p/q ], m1, ..., mn ; s2...sn' (bits only when n >= 2)."""
-    text = ", ".join([str(t.m0), *_per_run(render, t.slopes)])
+    text = _slope_text(t)
     if len(t.slopes) >= 2:
         # "%d" writes an int as str does, for all of the bits in one step.
         text += " ; " + ("%d" * len(t.binaries)) % t.binaries

@@ -17,6 +17,7 @@ from tunnelslopes import (
     change_of_basis,
     cf_eval,
     check_uniqueness,
+    conversion_word,
     enumerate_even_cfs,
     even_cf_expand,
     linking_number,
@@ -25,7 +26,6 @@ from tunnelslopes import (
     random_word_dictionary_check,
     residue_of,
     st_convert,
-    st_convert_via_matrix,
     two_bridge_slopes,
     validate,
     word_product,
@@ -118,7 +118,7 @@ def test_route_equivalence():
         if basis.determinant() != 1 or inverse.determinant() != 1:
             ok = False
             break
-        if st_convert(x) != st_convert_via_matrix(x):
+        if cf_eval(conversion_word(x)) != st_convert(x):
             ok = False
             break
     elapsed = time.perf_counter() - start

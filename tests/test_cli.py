@@ -178,11 +178,16 @@ class TestConvertRange:
         # The reader goes away after one line of a long range: no traceback,
         # and the status a shell gives a process that SIGPIPE ended.
         argv = cli_argv("convert-range", "100001", "1", "400001")
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
-        assert proc.stdout.readline() == b"1/100001, -1/100001\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (141, b"")
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env()) as proc:
+            try:
+                assert proc.stdout.readline() == b"1/100001, -1/100001\n"
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert (proc.wait(timeout=60), err) == (141, b"")
+            finally:
+                # A failed assertion must not leave the child blocked on a
+                # full pipe; once it has exited this does nothing.
+                proc.kill()
 
     def test_answer_past_the_digit_limit_prints(self, capsys):
         code, out, err = run(capsys, "convert-range", HUGE_N, HUGE_N_PLUS_1, HUGE_N_PLUS_1)

@@ -13,7 +13,6 @@ from tunnelslopes import (
     even_cf_expand,
     projective_add_invert,
     st_convert,
-    st_convert_via_matrix,
     sum_a,
     word_product,
 )
@@ -245,6 +244,23 @@ def reference_conversion_word(x, expansion):
     return (lead,) + tuple(-c for c in reversed(expansion.entries()[1:]))
 
 
+def reference_run_form_convert(x):
+    """The conversion word built and folded in the run form of the descent,
+    never written out: a route to st_convert's value that does not go
+    through the change-of-basis matrix, for expansions of any length.
+
+    A run of pairs (2g, -2g) is its own reversed negation, so it passes into
+    the word unchanged; a run that opens the expansion gives up its first
+    entry 2a1 and leaves -2g followed by one pair fewer.
+    """
+    items, total_a = _even_runs(x)
+    lead = 2 * total_a * (-1 if x.denominator % 2 else 1)
+    first, rest = items[0], items[1:]
+    if type(first) is _Run:
+        rest = [-2 * first.sign, _Run(first.sign, first.count - 1)] + rest
+    return cf_eval([lead] + [c if type(c) is _Run else -c for c in reversed(rest)])
+
+
 # The reference descent writes every entry out, one Fraction step each; a
 # random 80-digit fraction within 10^-80 of 1 or -1 has about 10^80 of them.
 REFERENCE_CAP = 10**5
@@ -281,19 +297,19 @@ class TestRunFormAgainstReference:
     @settings(max_examples=400, deadline=None)
     def test_conversion_and_change_of_basis(self, x):
         assume(x.numerator % 2)
+        converted = st_convert(x)
+        assert converted == reference_run_form_convert(x)
         if entry_count(x) > REFERENCE_CAP:
             # Facts that write nothing out: the conversion is an involution
-            # on q/p with q * q' = -1 (mod p), and the matrix route agrees.
-            converted = st_convert(x)
+            # on q/p with q * q' = -1 (mod p).
             assert st_convert(converted) == x
             assert converted.denominator == x.denominator
             assert (x.numerator * converted.numerator + 1) % x.denominator == 0
-            assert st_convert_via_matrix(x) == converted
             return
         reference = reference_even_cf_expand(x)
         word = reference_conversion_word(x, reference)
         assert conversion_word(x) == word
-        assert st_convert(x) == cf_eval(word)
+        assert converted == cf_eval(word)
         assert change_of_basis(x) == word_product(reference.entries() + (-word[0],))
 
     @pytest.mark.parametrize(

@@ -12,9 +12,9 @@ from tunnelslopes import (
     change_of_basis,
     conversion_word,
     convert_range,
+    cf_eval,
     even_cf_expand,
     st_convert,
-    st_convert_via_matrix,
     sum_a,
     word_product,
 )
@@ -37,7 +37,10 @@ def test_known_values(value, expected):
 
 @pytest.mark.parametrize("value,expected", KNOWN_CONVERSIONS)
 def test_matrix_route_agrees_on_known_values(value, expected):
-    assert st_convert_via_matrix(value) == expected
+    # The first column of the inverse change-of-basis matrix, read through
+    # the public matrix methods rather than st_convert's own -r/p.
+    assert change_of_basis(value).inverse().first_column_slope() == expected
+    assert cf_eval(conversion_word(value)) == expected
 
 
 def test_conversion_word_shape():
@@ -49,8 +52,8 @@ def test_conversion_word_shape():
 def test_even_numerator_rejected():
     with pytest.raises(ParityError):
         st_convert(Fraction(4, 7))
-    with pytest.raises(ParityError):
-        st_convert_via_matrix(Fraction(4, 7))
+    with pytest.raises(ParityError, match="conversion needs an odd numerator, got 4/7"):
+        conversion_word(Fraction(4, 7))
 
 
 class TestConvertRange:
@@ -130,7 +133,7 @@ def test_route_equivalence(q, p):
     if gcd(abs(q), p) != 1:
         return
     x = Fraction(q, p)
-    assert st_convert(x) == st_convert_via_matrix(x)
+    assert cf_eval(conversion_word(x)) == st_convert(x)
 
 
 even_denominators = st.integers(1, 5000).map(lambda m: 2 * m)
@@ -155,7 +158,7 @@ def test_matrix_route_matches_word_reference(x, negate):
     assert len(word) % 2
     assert change_of_basis(x) == word_product(word)
     reference = word_product(-e for e in reversed(word)).first_column_slope()
-    assert st_convert_via_matrix(x) == reference
+    assert st_convert(x) == reference
 
 
 @given(st.integers(-10**6, 10**6).map(lambda n: 2 * n + 1))
@@ -195,5 +198,4 @@ def test_near_odd_integer_closed_form(m, eps, n):
     basis = change_of_basis(x)
     assert basis.determinant() == 1
     assert basis.inverse().first_column_slope() == y
-    assert st_convert_via_matrix(x) == y
 

@@ -5,41 +5,13 @@ from hypothesis import given, strategies as st
 
 from tunnelslopes import (
     INFINITY,
-    DegenerateFractionError,
     IndeterminateFormError,
     NotFiniteError,
     ResidueSlope,
-    SlopePair,
     projective_add_invert,
-    reduce,
     render,
     residue_of,
-    slope_of_pair,
 )
-
-
-class TestReduce:
-    def test_sign_and_gcd_normalization(self):
-        assert reduce(6, -4) == Fraction(-3, 2)
-
-    def test_zero(self):
-        assert reduce(0, 7) == Fraction(0, 1)
-
-    def test_already_reduced(self):
-        assert reduce(59, 35) == Fraction(59, 35)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateFractionError):
-            reduce(0, 0)
-
-    def test_not_finite(self):
-        with pytest.raises(NotFiniteError):
-            reduce(3, 0)
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9).filter(bool))
-    def test_idempotent(self, n, d):
-        once = reduce(n, d)
-        assert reduce(once.numerator, once.denominator) == once
 
 
 class TestRender:
@@ -78,38 +50,6 @@ class TestRender:
         assert render(Tagged(6, 4)) == "3/2"
 
 
-class TestSlopePair:
-    def test_direct_quotient(self):
-        assert slope_of_pair(SlopePair(1, 3)) == Fraction(3)
-
-    def test_zero_p_is_infinite(self):
-        assert slope_of_pair(SlopePair(0, 1)) is INFINITY
-
-    def test_negative(self):
-        assert slope_of_pair(SlopePair(2, -5)) == Fraction(-5, 2)
-
-    def test_canonical_representative(self):
-        sp = SlopePair(2, -5)
-        assert (sp.p, sp.q) == (-2, 5)
-
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            SlopePair(0, 0)
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(ValueError):
-            SlopePair(2, 4)
-
-    @given(st.integers(-50, 50), st.integers(-50, 50))
-    def test_negation_invariance(self, p, q):
-        from math import gcd
-
-        if (p, q) == (0, 0) or gcd(p, q) != 1:
-            return
-        assert SlopePair(p, q) == SlopePair(-p, -q)
-        assert slope_of_pair(SlopePair(p, q)) == slope_of_pair(SlopePair(-p, -q))
-
-
 class TestResidues:
     def test_negative_representative(self):
         assert residue_of(Fraction(-1, 3)) == ResidueSlope(Fraction(2, 3))
@@ -127,6 +67,12 @@ class TestResidues:
 
     def test_denominator_is_stored_q(self):
         assert residue_of(Fraction(-1, 3)).denominator == 3
+
+    def test_infinite_residue_has_no_fraction_parts(self):
+        with pytest.raises(NotFiniteError):
+            residue_of(INFINITY).numerator
+        with pytest.raises(NotFiniteError):
+            residue_of(INFINITY).denominator
 
     def test_representative_range_enforced(self):
         with pytest.raises(ValueError):

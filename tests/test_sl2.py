@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tunnelslopes import (
-    IDENTITY,
     INFINITY,
     ParityError,
     SL2Matrix,
@@ -37,6 +36,9 @@ def cf_value(entries):
 
 def as_rows(m):
     return ((m.q, m.s), (m.p, m.r))
+
+
+IDENTITY = SL2Matrix(1, 0, 0, 1)
 
 
 nonzero_exponents = st.integers(-5, 5).filter(bool)
@@ -161,7 +163,8 @@ class TestChangeOfBasis:
 class TestMatrixBasics:
     def test_inverse(self):
         m = word_product((2, -4, 4, 1, 6))
-        assert m * m.inverse() == IDENTITY
+        assert m.inverse() == word_product((-6, -1, -4, 4, -2))
+        assert as_rows(m.inverse()) == mul_oracle((-6, -1, -4, 4, -2))
 
     @given(
         st.lists(st.integers(-10, 10), min_size=1, max_size=9).filter(lambda w: len(w) % 2)
