@@ -48,22 +48,25 @@ out only when ``a_entries``, ``b_entries`` or ``entries()`` is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import islice, zip_longest
-from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from .rationals import INFINITY, IndeterminateFormError, ProjectiveRational, _quotient
+from .rationals import (
+    INFINITY,
+    IndeterminateFormError,
+    ProjectiveRational,
+    _quotient,
+    _Record,
+    _set,
+)
+
+# ``count`` consecutive pairs (2*sign, -2*sign) of a raw even word.
+_Run = namedtuple("_Run", ("sign", "count"))
 
 
-class _Run(NamedTuple):
-    """``count`` consecutive pairs (2*sign, -2*sign) of a raw even word."""
-
-    sign: int
-    count: int
-
-
-def _fold(word: Iterable[ProjectiveRational]) -> Tuple[int, int, int, int]:
+def _fold(word: Iterable[ProjectiveRational]) -> tuple[int, int, int, int]:
     """The product (q s / p r) of (n d / d 0) over the entries n/d of a word.
 
     A ``_Run`` of n pairs (2g, -2g) multiplies by their closed form
@@ -105,8 +108,7 @@ def _add_blocks(runs: list, a: int, b, count: int) -> None:
         runs.append((a, b, count))
 
 
-@dataclass(frozen=True, init=False)
-class EvenCF:
+class EvenCF(_Record):
     """The even expansion of a rational, stored as runs of equal blocks.
 
     Block i is (ai, bi): the word carries 2ai and then 2bi, except that the
@@ -118,7 +120,7 @@ class EvenCF:
     every read, at O(entries) cost each.
     """
 
-    runs: Tuple[Tuple[int, Optional[int], int], ...]
+    __slots__ = ("runs",)
 
     def __init__(self, a_entries, b_entries, has_final_b: bool):
         a_entries, b_entries = tuple(a_entries), tuple(b_entries)
@@ -143,25 +145,28 @@ class EvenCF:
         runs: list = []
         for a, b in zip_longest(a_entries, b_entries):
             _add_blocks(runs, a, b, 1)
-        object.__setattr__(self, "runs", tuple(runs))
+        _set(self, "runs", tuple(runs))
 
     @classmethod
     def _of_runs(cls, runs: tuple) -> "EvenCF":
         """The expansion with these runs, which the caller has made maximal
         and valid; nothing is checked."""
         e = object.__new__(cls)
-        object.__setattr__(e, "runs", runs)
+        _set(e, "runs", runs)
         return e
 
+    def __reduce__(self):
+        return EvenCF._of_runs, (self.runs,)  # __init__ takes the entries
+
     @property
-    def a_entries(self) -> Tuple[int, ...]:
-        entries: List[int] = []
+    def a_entries(self) -> tuple[int, ...]:
+        entries: list[int] = []
         for a, _, n in self.runs:
             entries += (a,) * n
         return tuple(entries)
 
     @property
-    def b_entries(self) -> Tuple[int, ...]:
+    def b_entries(self) -> tuple[int, ...]:
         entries: list = []
         for _, b, n in self.runs:
             entries += (b,) * n
@@ -173,9 +178,9 @@ class EvenCF:
     def has_final_b(self) -> bool:
         return self.runs[-1][1] is not None
 
-    def entries(self) -> Tuple[int, ...]:
+    def entries(self) -> tuple[int, ...]:
         """The raw word (2a1, 2b1, ..., 2ak[, bk])."""
-        word: List[int] = []
+        word: list[int] = []
         for a, b, n in self.runs:
             word += (2 * a, 2 * b) * n if b is not None else (2 * a,)
         if b is not None:
@@ -193,7 +198,7 @@ def _nearest_even(x: Fraction) -> int:
     return 2 * ((n + d) // (2 * d))
 
 
-def _even_runs(x: Fraction) -> Tuple[list, int]:
+def _even_runs(x: Fraction) -> tuple[list, int]:
     """The raw even expansion of x in run form, and the sum of its a entries."""
     items: list = []
     total_a = 0

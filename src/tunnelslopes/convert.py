@@ -26,9 +26,9 @@ where the expansion has Theta(p) entries.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Tuple
 
 from .contfrac import even_cf_expand, sum_a
 from .sl2 import ParityError, change_of_basis
@@ -42,7 +42,7 @@ def _odd(x) -> Fraction:
     return x
 
 
-def conversion_word(x) -> Tuple[int, ...]:
+def conversion_word(x) -> tuple[int, ...]:
     """The continued-fraction word whose value is the converted invariant."""
     x = _odd(x)
     expansion = even_cf_expand(x)
@@ -61,7 +61,7 @@ def st_convert(x) -> Fraction:
     return Fraction(-m.r, m.p)
 
 
-def _range_pairs(p: int, q_lo: int, q_hi: int) -> Iterator[Tuple[Fraction, Fraction]]:
+def _range_pairs(p: int, q_lo: int, q_hi: int) -> Iterator[tuple[Fraction, Fraction]]:
     """The pairs of ``convert_range`` one at a time, for the command line to
     print as they come; the bounds are checked here, before any pair."""
     if p <= 0:
@@ -73,7 +73,7 @@ def _range_pairs(p: int, q_lo: int, q_hi: int) -> Iterator[Tuple[Fraction, Fract
     return ((x, st_convert(x)) for x in xs)
 
 
-def convert_range(p: int, q_lo: int, q_hi: int) -> List[Tuple[Fraction, Fraction]]:
+def convert_range(p: int, q_lo: int, q_hi: int) -> list[tuple[Fraction, Fraction]]:
     """Pairs (q/p, converted) for every odd q in [q_lo, q_hi] coprime to p.
 
     This stays a list, so callers may index and compare it; ``convert-range``

@@ -13,22 +13,22 @@ violation message.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Tuple
 
 from .contfrac import even_cf_expand
-from .rationals import _quotient, render
+from .rationals import _quotient, _Record, _set, render
 from .sl2 import word_product
 from .twobridge import TwoBridgeForm, _unit_word, cabling_steps, make_form, unit_rewrite
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    name: str
-    checked: int
-    violations: Tuple[str, ...]
+class OracleReport(_Record):
+    __slots__ = ("name", "checked", "violations")
+
+    def __init__(self, name: str, checked: int, violations: tuple[str, ...]):
+        _set(self, "name", name)
+        _set(self, "checked", checked)
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -42,7 +42,7 @@ class OracleReport:
         return line
 
 
-def _eval_raw(word: Tuple[int, ...]) -> Tuple[int, int]:
+def _eval_raw(word: tuple[int, ...]) -> tuple[int, int]:
     # The reference fold, right to left: c + 1/(n/d) = (c*n + d)/n. Each step
     # is unimodular, so (n, d) != (0, 0); d = 0 is INFINITY, as for 1/0.
     n, d = word[-1], 1
@@ -53,7 +53,7 @@ def _eval_raw(word: Tuple[int, ...]) -> Tuple[int, int]:
 
 def enumerate_even_cfs(
     max_len: int, max_entry: int, enforce_sign_rule: bool = True
-) -> Dict[Fraction, List[Tuple[int, ...]]]:
+) -> dict[Fraction, list[tuple[int, ...]]]:
     """Every constraint-satisfying even word within the bounds, grouped by value.
 
     Words are raw entry tuples with |entry| <= max_entry and at most max_len
@@ -65,7 +65,7 @@ def enumerate_even_cfs(
     entries = range(-max_entry, max_entry + 1)
     evens = [e for e in entries if e % 2 == 0]
     evens_nonzero = [e for e in evens if e != 0]
-    grouped: Dict[Fraction, List[Tuple[int, ...]]] = {}
+    grouped: dict[Fraction, list[tuple[int, ...]]] = {}
     for length in range(1, max_len + 1):
         choices = [evens] + [evens_nonzero] * (length - 1)
         closing_b = length % 2 == 0
@@ -89,7 +89,7 @@ def enumerate_even_cfs(
     return grouped
 
 
-def check_uniqueness(enumeration: Dict[Fraction, List[Tuple[int, ...]]]) -> OracleReport:
+def check_uniqueness(enumeration: dict[Fraction, list[tuple[int, ...]]]) -> OracleReport:
     """Assert one expansion per value and that the expander reproduces it."""
     violations = []
     for value, seqs in enumeration.items():
@@ -145,7 +145,7 @@ def random_word_dictionary_check(samples: int, seed: int) -> OracleReport:
     )
 
 
-def unit_rewrite_check(forms: List[TwoBridgeForm]) -> OracleReport:
+def unit_rewrite_check(forms: list[TwoBridgeForm]) -> OracleReport:
     """Check each form against the unit rewrite of its expansion: one unit per
     twist, the unit word evaluates back to b/a under the reference fold, and
     ``cabling_steps`` gives the twist count k = 2*ub(i-1) + (ua(i) + ua(i-1))/2
@@ -165,7 +165,7 @@ def unit_rewrite_check(forms: List[TwoBridgeForm]) -> OracleReport:
     return OracleReport("2-bridge unit rewrite", len(forms), tuple(sorted(violations)))
 
 
-def selfcheck() -> List[OracleReport]:
+def selfcheck() -> list[OracleReport]:
     """The standard certification run used by the command line."""
     forms = [make_form(b, a) for b in range(3, 20, 2) for a in range(1 - b, b) if gcd(b, a) == 1]
     uniqueness = check_uniqueness(enumerate_even_cfs(4, 6))

@@ -8,9 +8,7 @@ here is safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 
 class NotFiniteError(ValueError):
@@ -37,10 +35,57 @@ class _Infinity:
     def __neg__(self) -> "_Infinity":
         return self
 
+    def __reduce__(self):
+        return "INFINITY"  # the module's one instance, under every pickle protocol
+
 
 INFINITY = _Infinity()
 
-ProjectiveRational = Union[Fraction, _Infinity]
+ProjectiveRational = Fraction | _Infinity
+
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class _Record:
+    """Base of the package's immutable records, which behave as frozen
+    dataclasses do without the cost of importing and generating them.
+
+    A subclass names its fields in ``__slots__``, in order, and sets them in
+    its own ``__init__`` with ``_set``. Records of one class are equal when
+    their fields are, and never equal to another class's; the hash is that of
+    the field tuple; the repr is ``Name(field=value, ...)``; assigning or
+    deleting an attribute raises AttributeError; ``__match_args__`` names the
+    fields; and copies and pickles call the class with the field values.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def render(x) -> str:
@@ -79,23 +124,21 @@ def _quotient(numerator: int, denominator: int) -> ProjectiveRational:
     return INFINITY if denominator == 0 else Fraction(numerator, denominator)
 
 
-@dataclass(frozen=True)
-class ResidueSlope:
+class ResidueSlope(_Record):
     """A slope residue class mod 1, or infinity.
 
     Finite classes are stored by their representative in [0, 1); the stored
     denominator is the q of the underlying reduced p/q.
     """
 
-    value: ProjectiveRational
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value is INFINITY:
-            return
-        v = Fraction(self.value)
-        if not 0 <= v < 1:
-            raise ValueError(f"residue representative {v} is outside [0, 1)")
-        object.__setattr__(self, "value", v)
+    def __init__(self, value: ProjectiveRational):
+        if value is not INFINITY:
+            value = Fraction(value)
+            if not 0 <= value < 1:
+                raise ValueError(f"residue representative {value} is outside [0, 1)")
+        _set(self, "value", value)
 
     @property
     def is_infinite(self) -> bool:

@@ -11,32 +11,29 @@ of the slope rather than the length of the expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Tuple
 
 from .contfrac import _even_runs, _fold
-from .rationals import ProjectiveRational, _quotient
+from .rationals import ProjectiveRational, _quotient, _Record, _set
 
 
 class ParityError(ValueError):
     """An operation that needs an odd numerator was handed an even one."""
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
+class SL2Matrix(_Record):
     """Rows (q s / p r) with q*r - s*p = 1; the four entries are the whole value."""
 
-    q: int
-    s: int
-    p: int
-    r: int
+    __slots__ = ("q", "s", "p", "r")
 
-    def __post_init__(self):
-        if self.q * self.r - self.s * self.p != 1:
-            raise ValueError(
-                f"determinant of ({self.q} {self.s} / {self.p} {self.r}) is not 1"
-            )
+    def __init__(self, q: int, s: int, p: int, r: int):
+        if q * r - s * p != 1:
+            raise ValueError(f"determinant of ({q} {s} / {p} {r}) is not 1")
+        _set(self, "q", q)
+        _set(self, "s", s)
+        _set(self, "p", p)
+        _set(self, "r", r)
 
     def inverse(self) -> "SL2Matrix":
         return SL2Matrix(self.r, -self.s, -self.p, self.q)
@@ -62,7 +59,7 @@ def word_product(exponents: Iterable[int]) -> SL2Matrix:
     return SL2Matrix(q, s, p, r)
 
 
-def cf_entries_from_word(word: Iterable[int]) -> Tuple[ProjectiveRational, ...]:
+def cf_entries_from_word(word: Iterable[int]) -> tuple[ProjectiveRational, ...]:
     """The four continued fractions a nonempty exponent word encodes.
 
     With (q s / p r) = ``word_product(word)``, returns (q/p, s/r, q/s, p/r):

@@ -11,13 +11,12 @@ may be even, in which case the tunnel belongs to a two-component link.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
 from operator import neg
-from typing import Callable, Dict, Iterator, Tuple
 
-from .rationals import INFINITY, ResidueSlope, _excerpt, render, residue_of
+from .rationals import INFINITY, ResidueSlope, _excerpt, _Record, _set, render, residue_of
 
 
 class ValidationError(ValueError):
@@ -50,27 +49,29 @@ class Target(Enum):
     LINK = "Link"
 
 
-@dataclass(frozen=True)
-class TunnelClass:
-    kind: TunnelKind
-    target: Target
+class TunnelClass(_Record):
+    __slots__ = ("kind", "target")
+
+    def __init__(self, kind: TunnelKind, target: Target):
+        _set(self, "kind", kind)
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
-class TunnelParams:
+class TunnelParams(_Record):
     """The cabling parameters (m0, m1, ..., mn; s2, ..., sn) of a tunnel.
 
     Slopes become ``Fraction``s and binaries ``int``s; a tuple that already
     holds only those is kept as it is, with its elements shared.
     """
 
-    m0: ResidueSlope
-    slopes: Tuple[Fraction, ...] = ()
-    binaries: Tuple[int, ...] = ()
+    __slots__ = ("m0", "slopes", "binaries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "slopes", _exact_tuple(self.slopes, Fraction))
-        object.__setattr__(self, "binaries", _exact_tuple(self.binaries, int))
+    def __init__(
+        self, m0: ResidueSlope, slopes: tuple[Fraction, ...] = (), binaries: tuple[int, ...] = ()
+    ):
+        _set(self, "m0", m0)
+        _set(self, "slopes", _exact_tuple(slopes, Fraction))
+        _set(self, "binaries", _exact_tuple(binaries, int))
 
 
 def _exact_tuple(values, kind) -> tuple:
@@ -152,7 +153,7 @@ def _linking_number(t: TunnelParams, cls: TunnelClass) -> int:
     return abs(t.slopes[-1].numerator) // 2
 
 
-def _per_run(f: Callable, slopes: Tuple[Fraction, ...]) -> Iterator:
+def _per_run(f: Callable, slopes: tuple[Fraction, ...]) -> Iterator:
     """f of each slope, computed once for a run of one shared object."""
     last = value = None
     for m in slopes:
@@ -211,7 +212,7 @@ def parse(text: str) -> TunnelParams:
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
             cursor += len(token) + 1
-    binaries: Tuple[int, ...] = ()
+    binaries: tuple[int, ...] = ()
     if semicolon:
         bits = bits_part.strip()
         bit_pos = text.index(";", offset)
@@ -223,16 +224,16 @@ def parse(text: str) -> TunnelParams:
     return TunnelParams(m0, tuple(slopes), binaries)
 
 
-def to_export(t: TunnelParams) -> Dict[str, object]:
+def to_export(t: TunnelParams) -> dict[str, object]:
     """Machine-readable form: m0, slopes, binaries, class, target, and the
     linking number when the tunnel belongs to a link. Rationals are rendered
     as exact strings so arbitrary precision survives the trip through JSON."""
     return _export(t, validate(t))
 
 
-def _export(t: TunnelParams, cls: TunnelClass) -> Dict[str, object]:
+def _export(t: TunnelParams, cls: TunnelClass) -> dict[str, object]:
     """``to_export`` of t, whose class ``validate`` gave as cls."""
-    doc: Dict[str, object] = {
+    doc: dict[str, object] = {
         "m0": render(t.m0.value),
         "slopes": list(_per_run(render, t.slopes)),
         "binaries": list(t.binaries),

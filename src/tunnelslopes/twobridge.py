@@ -31,13 +31,12 @@ validation of b/a; the records it builds are not checked again, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Tuple
 
 from .contfrac import EvenCF, even_cf_expand
-from .rationals import ResidueSlope, residue_of
+from .rationals import ResidueSlope, _Record, _set, residue_of
 from .tunnels import TunnelParams
 
 
@@ -60,37 +59,39 @@ def _cabling_slope(k: int, even: bool) -> Fraction:
     return Fraction(2 * k + 1 if even else 1 - 2 * k, k)
 
 
-@dataclass(frozen=True)
-class CablingStep:
+class CablingStep(_Record):
     """One cabling beyond the first: its unit index, twist count k != 0 and
     strand parity, from which the slope 2 + 1/k or -2 + 1/k is derived."""
 
-    index: int
-    k: int
-    parity: str
+    __slots__ = ("index", "k", "parity")
 
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.k == 0:
-            raise CablingContradictionError(f"cabling {self.index} has twist count 0")
+    def __init__(self, index: int, k: int, parity: str):
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        if k == 0:
+            raise CablingContradictionError(f"cabling {index} has twist count 0")
+        _set(self, "index", index)
+        _set(self, "k", k)
+        _set(self, "parity", parity)
 
     @property
     def slope(self) -> Fraction:
         return _cabling_slope(self.k, self.parity == "even")
 
 
-@dataclass(frozen=True)
-class TwoBridgeForm:
+class TwoBridgeForm(_Record):
     """A normalized 2-bridge invariant with the even expansion of b/a; a
     plain record that ``make_form`` validates and builds."""
 
-    b: int
-    a: int
-    expansion: EvenCF
+    __slots__ = ("b", "a", "expansion")
+
+    def __init__(self, b: int, a: int, expansion: EvenCF):
+        _set(self, "b", b)
+        _set(self, "a", a)
+        _set(self, "expansion", expansion)
 
 
-def _unit_word(unit_a: Tuple[int, ...], unit_b: Tuple[int, ...]) -> Tuple[int, ...]:
+def _unit_word(unit_a: tuple[int, ...], unit_b: tuple[int, ...]) -> tuple[int, ...]:
     word = []
     for u, b in zip(unit_a, unit_b[:-1]):
         word.extend((2 * u, 2 * b))
@@ -98,7 +99,7 @@ def _unit_word(unit_a: Tuple[int, ...], unit_b: Tuple[int, ...]) -> Tuple[int, .
     return tuple(word)
 
 
-def unit_rewrite(e: EvenCF) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def unit_rewrite(e: EvenCF) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Expand every a entry into signed units, padding with zero b entries.
 
     The value is unchanged and the closing b entry stays put; the number of
@@ -108,8 +109,8 @@ def unit_rewrite(e: EvenCF) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         raise ValueError("unit rewrite needs the odd-numerator (knot) form")
     if any(a == 0 for a, _, _ in e.runs):
         raise ValueError("unit rewrite needs every a entry nonzero (|value| > 1)")
-    unit_a: List[int] = []
-    unit_b: List[int] = []
+    unit_a: list[int] = []
+    unit_b: list[int] = []
     for a, b, n in e.runs:
         unit_a += [1 if a > 0 else -1] * (abs(a) * n)
         unit_b += ([0] * (abs(a) - 1) + [b]) * n
@@ -138,7 +139,7 @@ def make_form(b: int, a: int) -> TwoBridgeForm:
     return TwoBridgeForm(b, a, even_cf_expand(Fraction(b, a)))
 
 
-def normalize_input(b: int, a: int) -> List[TwoBridgeForm]:
+def normalize_input(b: int, a: int) -> list[TwoBridgeForm]:
     """The forms for both residues a' = a (mod b) with |b/a'| > 1.
 
     For every valid input exactly two residues qualify, one positive and one
@@ -158,7 +159,7 @@ def _first_residue(form: TwoBridgeForm) -> ResidueSlope:
     return residue_of(Fraction(k_first, 2 * k_first + 1))
 
 
-def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, int, bool]]:
+def _walk(form: TwoBridgeForm) -> Iterator[tuple[int, int, int, bool]]:
     """(count, index, k, even) per run of equal cablings after the first, in
     construction order: its length, highest twist index, twist count and
     whether its strand parity is even."""
@@ -210,7 +211,7 @@ def _walk(form: TwoBridgeForm) -> Iterator[Tuple[int, int, int, bool]]:
             top -= count
 
 
-def cabling_steps(form: TwoBridgeForm) -> Tuple[ResidueSlope, Tuple[CablingStep, ...]]:
+def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep, ...]]:
     """The first-cabling residue and the later cablings in construction order;
     the result is sized from the walk's counts before any step is built, so a
     form with more cablings than memory holds fails at once."""
@@ -229,7 +230,7 @@ def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
     """The full cabling-parameter tuple of the knot's depth-one tunnel; a run
     of equal consecutive slopes shares one Fraction."""
     m0 = _first_residue(form)
-    slopes: List[Fraction] = []
+    slopes: list[Fraction] = []
     last_k, last_even, slope = 0, False, None
     for count, _, k, even in _walk(form):
         if k != last_k or even is not last_even:

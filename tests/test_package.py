@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import tunnelslopes
@@ -10,3 +14,20 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert set(tunnelslopes.__all__) == public
+
+
+def test_cli_import_loads_no_heavy_standard_modules():
+    # dataclasses (which loads inspect, ast, dis and tokenize) and typing cost
+    # a fresh process more than the package itself; -S keeps site from
+    # loading them first.
+    heavy = "{'dataclasses', 'inspect', 'typing'}"
+    code = f"import sys, tunnelslopes.cli; print(*sorted({heavy} & set(sys.modules)))"
+    src = Path(tunnelslopes.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "\n"

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby, islice, zip_longest
 from math import gcd
@@ -25,6 +24,7 @@ from tunnelslopes import (
     TrivialKnotError,
     TunnelKind,
     TunnelParams,
+    TwoBridgeForm,
     cabling_steps,
     cf_eval,
     even_cf_expand,
@@ -197,7 +197,7 @@ class TestCablingStep:
     def test_zero_first_twist_rejected(self):
         # a = (2, -1), b = (-2, 1)
         expansion = SimpleNamespace(runs=((2, -2, 1), (-1, 1, 1)))
-        form = replace(make_form(33, 19), expansion=expansion)
+        form = TwoBridgeForm(33, 19, expansion)
         for compute in (cabling_steps, two_bridge_slopes):
             with pytest.raises(CablingContradictionError, match="^first cabling has twist count 0$"):
                 compute(form)
@@ -205,7 +205,7 @@ class TestCablingStep:
     def test_zero_later_twist_rejected(self):
         # a = (1, -1, 1), b = (-2, 0, 1)
         expansion = SimpleNamespace(runs=((1, -2, 1), (-1, 0, 1), (1, 1, 1)))
-        form = replace(make_form(33, 19), expansion=expansion)
+        form = TwoBridgeForm(33, 19, expansion)
         for compute in (cabling_steps, two_bridge_slopes):
             with pytest.raises(CablingContradictionError, match="^cabling 2 has twist count 0$"):
                 compute(form)
@@ -667,3 +667,20 @@ def test_cabling_steps_beyond_memory_fail_at_once():
     )
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+def test_cabling_steps_memory_per_step():
+    # 200001/199999 has 49 999 cablings after the first. Each costs its slot
+    # in the list and the tuple, its index int and a slotted CablingStep:
+    # about 104 bytes (144 as a frozen dataclass with an instance dict).
+    form = make_form(200001, 199999)
+    cabling_steps(make_form(33, 19))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _, steps = cabling_steps(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 49_999
+    assert peak <= 110 * len(steps)
