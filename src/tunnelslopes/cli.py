@@ -4,9 +4,10 @@ Payload lines are stable and prompt-free: exact rational rendering, one
 result per line, printed as soon as it is computed. Errors go to stderr and
 exit nonzero; a reader that closes stdout early ends the command quietly with
 status 141. Arguments may be wrapped in parentheses, so `convert "(59/35)"`
-works as written. Arguments are read under Python's int/str digit limit, so an
-over-long integer is a short error; results are printed with the limit lifted,
-so an answer longer than its input still prints.
+works as written; a negative value may also be bare, as in `convert -59/35`.
+Arguments are read under Python's int/str digit limit, so an over-long
+integer is a short error; results are printed with the limit lifted, so an
+answer longer than its input still prints.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -190,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", help="run the built-in certification oracles")
     p.set_defaults(func=cmd_selfcheck)
+    for p in sub.choices.values():  # else argparse takes -59/35 for an option
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -15,40 +15,42 @@ Every rational q/p has exactly one expansion of the shape
 
 with every entry nonzero except possibly the leading 2a1, with bk carrying
 the parity of p, and with ak and bk sharing a sign whenever bk is 1 or -1.
-The expansion is computed by a greedy Euclidean descent, ``_even_runs``,
-that fills the a and b positions in turn: each even-forced position takes the
-even integer nearest the current value and recurses on the reciprocal of the
+The module keeps it in one form: the runs of equal blocks (ai, bi) that
+``EvenCF`` stores. A greedy Euclidean descent, ``_even_runs``, writes them,
+filling the a and b slots of the blocks in turn: each slot takes the even
+integer nearest the current value and recurses on the reciprocal of the
 remainder. Denominators strictly decrease, so the walk ends on an integer,
-which a b position keeps whole as bk. An integer u reached on an a position
-is either 2ak itself (u even) or split as (u - 1) + 1/1 or (u + 1) + 1/(-1),
+which a b slot keeps whole as bk. An integer u reached at an a slot is
+either 2ak itself (u even) or split as (u - 1) + 1/1 or (u + 1) + 1/(-1),
 which is exactly the sign normalization the closing pair needs; no
 backtracking is ever required because nearest-even ties would need an odd
-integer at a non-terminal position, and the descent never produces one.
+integer at a non-terminal slot, and the descent never produces one.
 
 Near an odd integer the expansion is long and nearly constant: (p + 1)/p has
 about p entries, all but a few of them pairs (2, -2). Kraaikamp and Lopes
 ("The theta group and the continued fraction expansion with even partial
 quotients", Geom. Dedicata, 1996) relate such a block of pairs to one
-regular partial quotient, and the descent emits it in closed form. At a
+regular partial quotient, and the descent writes it in closed form. At a
 value u/v with v > 0, s = sign(u) and d = |u| - v, when v < |u| < 2v and
 n = (v - 2d) // (2d) is at least 1, the next n pairs are all (2s, -2s) and
-leave (u - 2nsd)/(v - 2nd) at a position of the same parity; the descent
-emits them as one ``_Run(s, n)`` item and goes on from there. The pair folds
-to M = (-3 2s / -2s 1) = -I + N with N^2 = 0, so a run folds in one step as
+leave (u - 2nsd)/(v - 2nd) at a slot of the same kind: from an a slot they
+are n blocks (s, -s), from a b slot they close the open block with s, fill
+n - 1 blocks (-s, s) and open one with -s. A block (2g, 2h) folds to
+(4gh + 1, 2g / 2h, 1) of trace 4gh + 2, so only (1, -1) and (-1, 1) are
+parabolic, M = (-3 2g / -2g 1) = -I + N with N^2 = 0, and ``_fold_runs``
+folds a run of them in one step as
 
-    M^n = (-1)^n (I - nN) = (-1)^n (1 + 2n, -2sn / 2sn, 1 - 2n),
+    M^n = (-1)^n (I - nN) = (-1)^n (1 + 2n, -2gn / 2gn, 1 - 2n);
 
-and change of basis, which conversion reads, costs a few steps per regular
-partial quotient instead of one per entry. ``EvenCF`` stores the expansion
-in the same spirit, as runs of equal blocks (ai, bi), and ``even_cf_expand``
-turns each run item into one or two of them, so the expansion of (p + 1)/p
-takes a few items of memory however large p is. The entries are written
-out only when ``a_entries``, ``b_entries`` or ``entries()`` is read.
+any other block grows the fold geometrically and repeats O(log p) times. So
+(p + 1)/p takes a few runs of memory however large p is, and change of
+basis, which conversion reads, costs a few steps per regular partial
+quotient instead of one per entry. The entries are written out only when
+``a_entries``, ``b_entries`` or ``entries()`` is read.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import islice, zip_longest
@@ -62,29 +64,41 @@ from .rationals import (
     _set,
 )
 
-# ``count`` consecutive pairs (2*sign, -2*sign) of a raw even word.
-_Run = namedtuple("_Run", ("sign", "count"))
-
 
 def _fold(word: Iterable[ProjectiveRational]) -> tuple[int, int, int, int]:
-    """The product (q s / p r) of (n d / d 0) over the entries n/d of a word.
-
-    A ``_Run`` of n pairs (2g, -2g) multiplies by their closed form
-    (-1)^n (1 + 2n, -2gn / 2gn, 1 - 2n).
-    """
+    """The product (q s / p r) of (n d / d 0) over the entries n/d of a word."""
     q, s, p, r = 1, 0, 0, 1
     for c in word:
         if type(c) is int:
             q, s, p, r = q * c + s, q, p * c + r, p
-        elif type(c) is _Run:
-            j = 2 * c.count
-            k = j * c.sign
-            q, s, p, r = q + j * q + k * s, s - j * s - k * q, p + j * p + k * r, r - j * r - k * p
-            if c.count % 2:
-                q, s, p, r = -q, -s, -p, -r
         else:
             n, d = (1, 0) if c is INFINITY else Fraction(c).as_integer_ratio()
             q, s, p, r = q * n + s * d, q * d, p * n + r * d, p * d
+    return q, s, p, r
+
+
+def _fold_runs(runs: tuple) -> tuple[int, int, int, int]:
+    """``_fold`` of the word that runs of blocks stand for, not written out:
+    a run of n > 1 blocks (g, -g) with g = +-1 in closed form, any other run
+    block by block, and the last block on its own, as its b is bk whole."""
+    q, s, p, r = 1, 0, 0, 1
+    *body, last = runs
+    a, b, n = last
+    if n > 1:
+        body.append((a, b, n - 1))
+    for a, b, n in body:
+        if n > 1 and a * a == 1 and b == -a:
+            j = 2 * n
+            k = j * a
+            q, s, p, r = q + j * q + k * s, s - j * s - k * q, p + j * p + k * r, r - j * r - k * p
+            if n % 2:
+                q, s, p, r = -q, -s, -p, -r
+            continue
+        for c in (2 * a, 2 * b) * n:
+            q, s, p, r = q * c + s, q, p * c + r, p
+    a, b, _ = last
+    for c in (2 * a,) if b is None else (2 * a, b):
+        q, s, p, r = q * c + s, q, p * c + r, p
     return q, s, p, r
 
 
@@ -117,7 +131,8 @@ class EvenCF(_Record):
     consecutive blocks as (ai, bi, count), so n pairs (2s, -2s) take one
     item. ``a_entries`` (a1..ak), ``b_entries`` (b1..b(k-1), plus bk when
     ``has_final_b``) and ``entries()`` are written out from the runs on
-    every read, at O(entries) cost each.
+    every read, at O(entries) cost each; a run too long to write out raises
+    ``MemoryError``.
     """
 
     __slots__ = ("runs",)
@@ -158,21 +173,25 @@ class EvenCF(_Record):
     def __reduce__(self):
         return EvenCF._of_runs, (self.runs,)  # __init__ takes the entries
 
+    def _written(self, block) -> list:
+        """The concatenation of block(a, b) * count over the runs."""
+        word: list = []
+        try:
+            for a, b, n in self.runs:
+                word += block(a, b) * n
+        except OverflowError:
+            # A run longer than any list can be; a shorter one that does not
+            # fit raises MemoryError itself.
+            raise MemoryError(f"a run of {n} blocks cannot be written out") from None
+        return word
+
     @property
     def a_entries(self) -> tuple[int, ...]:
-        entries: list[int] = []
-        for a, _, n in self.runs:
-            entries += (a,) * n
-        return tuple(entries)
+        return tuple(self._written(lambda a, b: (a,)))
 
     @property
     def b_entries(self) -> tuple[int, ...]:
-        entries: list = []
-        for _, b, n in self.runs:
-            entries += (b,) * n
-        if entries[-1] is None:
-            entries.pop()
-        return tuple(entries)
+        return tuple(self._written(lambda a, b: () if b is None else (b,)))
 
     @property
     def has_final_b(self) -> bool:
@@ -180,83 +199,57 @@ class EvenCF(_Record):
 
     def entries(self) -> tuple[int, ...]:
         """The raw word (2a1, 2b1, ..., 2ak[, bk])."""
-        word: list[int] = []
-        for a, b, n in self.runs:
-            word += (2 * a, 2 * b) * n if b is not None else (2 * a,)
-        if b is not None:
-            word[-1] = b  # the closing bk is stored whole
+        word = self._written(lambda a, b: (2 * a, 2 * b) if b is not None else (2 * a,))
+        if self.has_final_b:
+            word[-1] = self.runs[-1][1]  # the closing bk is stored whole
         return tuple(word)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(e) for e in self.entries()) + "]"
 
 
-def _nearest_even(x: Fraction) -> int:
-    # floor(x/2 + 1/2), doubled; ties would need x to be an odd integer,
-    # which the callers exclude.
-    n, d = x.numerator, x.denominator
-    return 2 * ((n + d) // (2 * d))
-
-
-def _even_runs(x: Fraction) -> tuple[list, int]:
-    """The raw even expansion of x in run form, and the sum of its a entries."""
-    items: list = []
-    total_a = 0
-    at_a_slot = True
+def _even_runs(x: Fraction) -> tuple:
+    """The runs (a, b, count) of the even expansion of x, written by the
+    descent in the module docstring."""
+    runs: list = []
+    a = None  # the open block's a while the descent is at its b slot
     while True:
         u, v = x.numerator, x.denominator
         if v == 1:
-            if at_a_slot and u % 2:
-                sign = 1 if u > 0 else -1
-                items += (u - sign, sign)  # 2ak + 1/bk with bk = sign
-                total_a += (u - sign) // 2
+            if a is not None:
+                _add_blocks(runs, a, u, 1)  # the closing bk is stored whole
+            elif u % 2:
+                s = 1 if u > 0 else -1
+                _add_blocks(runs, (u - s) // 2, s, 1)  # 2ak + 1/bk with bk = s
             else:
-                items.append(u)  # closing 2ak, or bk with its parity forced
-                total_a += u // 2 if at_a_slot else 0
-            return items, total_a
+                _add_blocks(runs, u // 2, None, 1)
+            return tuple(runs)
         d = abs(u) - v
         if 0 < 4 * d <= v:
-            # 1 < |x| < 2 with at least one whole pair (2s, -2s) ahead.
+            # 1 < |x| < 2 with n >= 1 whole pairs (2s, -2s) ahead.
             s = 1 if u > 0 else -1
             n = (v - 2 * d) // (2 * d)
-            items.append(_Run(s, n))
-            total_a += s * n if at_a_slot else -s * n
+            if a is None:
+                _add_blocks(runs, s, -s, n)
+            else:  # close the open block with s, fill n - 1 blocks (-s, s), open one with -s
+                _add_blocks(runs, a, s, 1)
+                if n > 1:
+                    _add_blocks(runs, -s, s, n - 1)
+                a = -s
             x = Fraction(u - 2 * n * s * d, v - 2 * n * d)
             continue
-        e = _nearest_even(x)
-        items.append(e)
-        total_a += e // 2 if at_a_slot else 0
-        x = 1 / (x - e)
-        at_a_slot = not at_a_slot
+        h = (u + v) // (2 * v)  # 2h is the even integer nearest x
+        if a is None:
+            a = h
+        else:
+            _add_blocks(runs, a, h, 1)
+            a = None
+        x = 1 / (x - 2 * h)
 
 
 def even_cf_expand(x) -> EvenCF:
     """The unique constraint-satisfying even expansion of a rational."""
-    *body, last = _even_runs(Fraction(x))[0]
-    runs: list = []
-    a = None  # the a entry of a block whose b is still to come
-    for c in body:
-        if type(c) is not _Run:
-            if a is None:
-                a = c // 2
-            else:
-                _add_blocks(runs, a, c // 2, 1)
-                a = None
-        elif a is None:
-            # n pairs (2s, -2s) from an a slot are n blocks (s, -s).
-            _add_blocks(runs, c.sign, -c.sign, c.count)
-        else:
-            # From a b slot they close the open block with s, fill n - 1
-            # blocks (-s, s) and open one with -s.
-            _add_blocks(runs, a, c.sign, 1)
-            if c.count > 1:
-                _add_blocks(runs, -c.sign, c.sign, c.count - 1)
-            a = -c.sign
-    if a is None:
-        _add_blocks(runs, last // 2, None, 1)
-    else:
-        _add_blocks(runs, a, last, 1)  # the closing bk is stored whole
-    return EvenCF._of_runs(tuple(runs))
+    return EvenCF._of_runs(_even_runs(Fraction(x)))
 
 
 def sum_a(e: EvenCF) -> int:

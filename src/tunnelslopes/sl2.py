@@ -3,10 +3,10 @@
 U is upper unitriangular, L lower unitriangular. A word is a sequence of
 exponents (a1, b1, a2, b2, ...) read as U^a1 L^b1 U^a2 L^b2 and so on. A
 matrix is only its four entries; the continued fractions a word encodes are
-read off the matrix its product gives. ``change_of_basis`` folds the even
-expansion in its run form, each run of pairs (2g, -2g) as one closed-form
-matrix (see ``contfrac``), so its cost follows the regular partial quotients
-of the slope rather than the length of the expansion.
+read off the matrix its product gives. ``change_of_basis`` folds the runs of
+equal blocks that ``contfrac`` keeps the even expansion in, a run of blocks
+(g, -g) as one closed-form matrix, so its cost follows the regular partial
+quotients of the slope rather than the length of the expansion.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .contfrac import _even_runs, _fold
+from .contfrac import _even_runs, _fold, _fold_runs
 from .rationals import ProjectiveRational, _quotient, _Record, _set
 
 
@@ -86,16 +86,13 @@ def change_of_basis(x) -> SL2Matrix:
 
     For x = q/p with even expansion [2a1, 2b1, ..., 2an, bn] this is the
     word U^2a1 L^2b1 ... U^2an L^bn U^t with t = 2*sum(ai) for p odd and
-    t = -2*sum(ai) for p even.
+    t = -2*sum(ai) for p even. An odd numerator closes the expansion on bn,
+    so the fold of its runs is its product, and U^t = (1 t / 0 1) ends it.
     """
     x = Fraction(x)
     if x.numerator % 2 == 0:
         raise ParityError(f"change of basis needs an odd numerator, got {x}")
-    items, total_a = _even_runs(x)
-    twist = 2 * total_a
-    if x.denominator % 2 == 0:
-        twist = -twist
-    # An odd numerator closes the expansion on bk, so the raw word is of even
-    # length and the twist makes it odd: swap the columns as word_product does.
-    s, q, r, p = _fold(items + [twist])
-    return SL2Matrix(q, s, p, r)
+    runs = _even_runs(x)
+    t = 2 * sum([a * n for a, _, n in runs]) * (1 if x.denominator % 2 else -1)
+    q, s, p, r = _fold_runs(runs)
+    return SL2Matrix(q, q * t + s, p, p * t + r)

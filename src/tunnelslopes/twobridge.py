@@ -103,7 +103,7 @@ def unit_rewrite(e: EvenCF) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Expand every a entry into signed units, padding with zero b entries.
 
     The value is unchanged and the closing b entry stays put; the number of
-    units is the sum of |ai|.
+    units is the sum of |ai|, and a run too long to write out raises MemoryError.
     """
     if not e.has_final_b:
         raise ValueError("unit rewrite needs the odd-numerator (knot) form")
@@ -111,9 +111,12 @@ def unit_rewrite(e: EvenCF) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise ValueError("unit rewrite needs every a entry nonzero (|value| > 1)")
     unit_a: list[int] = []
     unit_b: list[int] = []
-    for a, b, n in e.runs:
-        unit_a += [1 if a > 0 else -1] * (abs(a) * n)
-        unit_b += ([0] * (abs(a) - 1) + [b]) * n
+    try:
+        for a, b, n in e.runs:
+            unit_a += [1 if a > 0 else -1] * (abs(a) * n)
+            unit_b += ([0] * (abs(a) - 1) + [b]) * n
+    except OverflowError:
+        raise MemoryError(f"a run of {abs(a) * n} units cannot be written out") from None
     return tuple(unit_a), tuple(unit_b)
 
 

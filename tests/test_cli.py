@@ -111,6 +111,40 @@ class TestConvert:
         assert out == f"{HUGE_ANSWER}/{HUGE_N}\n"
 
 
+class TestNegativeValues:
+    """A bare negative value is a value, not an unknown option."""
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (("convert", "-59/35"), "299/35"),
+            (("convert", "-55"), "55"),
+            (("slopes", "-33/19"), "[ 2/3 ], -3, -5/3"),
+            (("slopes", "--both", "-33/19"), "[ 2/3 ], -3, -5/3\n[ 2/3 ], -3, -5/3"),
+        ],
+    )
+    def test_bare_prints_as_wrapped(self, capsys, argv, line):
+        *head, value = argv
+        assert run(capsys, *argv) == (0, line + "\n", "")
+        assert run(capsys, *head, f"({value})") == (0, line + "\n", "")
+
+    def test_bare_negative_junk_is_a_value_error(self, capsys):
+        assert run(capsys, "convert", "-59/35x") == (1, "", "error: not a rational: '-59/35x'\n")
+
+    @pytest.mark.parametrize("option", ["-x", "--frobnicate", "-/35"])
+    def test_unknown_option_is_a_usage_error(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", option])
+        assert exc.value.code == 2
+        assert "the following arguments are required: value" in capsys.readouterr().err
+
+    def test_fresh_process(self):
+        proc = subprocess.run(
+            cli_argv("convert", "-59/35"), capture_output=True, text=True, env=cli_env(), timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "299/35\n", "")
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
 class TestDigitLimit:
     @pytest.mark.parametrize(

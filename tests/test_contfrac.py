@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from tunnelslopes import (
     INFINITY,
     EvenCF,
     IndeterminateFormError,
+    SL2Matrix,
     cf_eval,
     change_of_basis,
     conversion_word,
@@ -16,7 +18,9 @@ from tunnelslopes import (
     sum_a,
     word_product,
 )
-from tunnelslopes.contfrac import _even_runs, _fold, _Run
+from tunnelslopes.contfrac import _add_blocks, _even_runs, _fold, _fold_runs
+
+from test_acceptance import sample_odd_slopes
 
 
 def reference_fold(word):
@@ -59,6 +63,13 @@ class TestCfEval:
     def test_tuple_entry_rejected(self):
         with pytest.raises(TypeError):
             cf_eval([2, (1, 3)])
+
+    def test_run_is_not_an_entry(self):
+        # Runs fold through _fold_runs only; a word never carries one.
+        with pytest.raises(TypeError):
+            cf_eval([(1, -1, 2)])
+        with pytest.raises(TypeError):
+            word_product([(1, 2)])
 
     @given(st.lists(projective_entries, min_size=1, max_size=7))
     @settings(max_examples=500)
@@ -239,26 +250,137 @@ run_families = st.one_of(
 )
 
 
+# The run-item descent that even_cf_expand and change_of_basis used before the
+# descent wrote EvenCF's runs itself: a list of ints and _Run items, the sum of
+# the a entries kept alongside, a fold with a _Run step and a second pass that
+# turns the items into runs of blocks. The reference for _even_runs,
+# _fold_runs and change_of_basis at any length, since neither side writes the
+# entries out.
+
+# ``count`` consecutive pairs (2*sign, -2*sign) of a raw even word.
+_Run = namedtuple("_Run", ("sign", "count"))
+
+
+def reference_items(x):
+    """The raw even expansion of x in run-item form, and the sum of its a entries."""
+    x = Fraction(x)
+    items: list = []
+    total_a = 0
+    at_a_slot = True
+    while True:
+        u, v = x.numerator, x.denominator
+        if v == 1:
+            if at_a_slot and u % 2:
+                sign = 1 if u > 0 else -1
+                items += (u - sign, sign)  # 2ak + 1/bk with bk = sign
+                total_a += (u - sign) // 2
+            else:
+                items.append(u)  # closing 2ak, or bk with its parity forced
+                total_a += u // 2 if at_a_slot else 0
+            return items, total_a
+        d = abs(u) - v
+        if 0 < 4 * d <= v:
+            # 1 < |x| < 2 with at least one whole pair (2s, -2s) ahead.
+            s = 1 if u > 0 else -1
+            n = (v - 2 * d) // (2 * d)
+            items.append(_Run(s, n))
+            total_a += s * n if at_a_slot else -s * n
+            x = Fraction(u - 2 * n * s * d, v - 2 * n * d)
+            continue
+        e = 2 * ((u + v) // (2 * v))
+        items.append(e)
+        total_a += e // 2 if at_a_slot else 0
+        x = 1 / (x - e)
+        at_a_slot = not at_a_slot
+
+
+def reference_item_fold(items):
+    """The fold of a word of ints and _Run items; a _Run of n pairs (2g, -2g)
+    multiplies by their closed form (-1)^n (1 + 2n, -2gn / 2gn, 1 - 2n)."""
+    q, s, p, r = 1, 0, 0, 1
+    for c in items:
+        if type(c) is _Run:
+            j = 2 * c.count
+            k = j * c.sign
+            q, s, p, r = q + j * q + k * s, s - j * s - k * q, p + j * p + k * r, r - j * r - k * p
+            if c.count % 2:
+                q, s, p, r = -q, -s, -p, -r
+        else:
+            q, s, p, r = q * c + s, q, p * c + r, p
+    return q, s, p, r
+
+
+def reference_items_to_runs(items):
+    """The runs (a, b, count) of a run-item expansion."""
+    *body, last = items
+    runs: list = []
+    a = None  # the a entry of a block whose b is still to come
+    for c in body:
+        if type(c) is not _Run:
+            if a is None:
+                a = c // 2
+            else:
+                _add_blocks(runs, a, c // 2, 1)
+                a = None
+        elif a is None:
+            # n pairs (2s, -2s) from an a slot are n blocks (s, -s).
+            _add_blocks(runs, c.sign, -c.sign, c.count)
+        else:
+            # From a b slot they close the open block with s, fill n - 1
+            # blocks (-s, s) and open one with -s.
+            _add_blocks(runs, a, c.sign, 1)
+            if c.count > 1:
+                _add_blocks(runs, -c.sign, c.sign, c.count - 1)
+            a = -c.sign
+    if a is None:
+        _add_blocks(runs, last // 2, None, 1)
+    else:
+        _add_blocks(runs, a, last, 1)  # the closing bk is stored whole
+    return tuple(runs)
+
+
+def reference_change_of_basis(x):
+    """change_of_basis folded from the run items and the twist, with the
+    columns swapped as for a word of odd length."""
+    items, total_a = reference_items(x)
+    twist = 2 * total_a * (1 if x.denominator % 2 else -1)
+    s, q, r, p = reference_item_fold(items + [twist])
+    return SL2Matrix(q, s, p, r)
+
+
+def assert_matches_run_items(x):
+    """The runs, twist sum and change of basis of x against the run-item
+    descent; neither side writes the entries out."""
+    items, total_a = reference_items(x)
+    e = even_cf_expand(x)
+    assert e.runs == _even_runs(x) == reference_items_to_runs(items)
+    assert sum_a(e) == total_a
+    assert _fold_runs(e.runs) == reference_item_fold(items)
+    if x.numerator % 2:
+        assert change_of_basis(x) == reference_change_of_basis(x)
+
+
 def reference_conversion_word(x, expansion):
     lead = 2 * sum(expansion.a_entries) * (-1 if x.denominator % 2 else 1)
     return (lead,) + tuple(-c for c in reversed(expansion.entries()[1:]))
 
 
 def reference_run_form_convert(x):
-    """The conversion word built and folded in the run form of the descent,
-    never written out: a route to st_convert's value that does not go
-    through the change-of-basis matrix, for expansions of any length.
+    """The conversion word built and folded in the run-item form of the
+    descent, never written out: a route to st_convert's value that does not
+    go through the change-of-basis matrix, for expansions of any length.
 
     A run of pairs (2g, -2g) is its own reversed negation, so it passes into
     the word unchanged; a run that opens the expansion gives up its first
     entry 2a1 and leaves -2g followed by one pair fewer.
     """
-    items, total_a = _even_runs(x)
+    items, total_a = reference_items(x)
     lead = 2 * total_a * (-1 if x.denominator % 2 else 1)
     first, rest = items[0], items[1:]
     if type(first) is _Run:
         rest = [-2 * first.sign, _Run(first.sign, first.count - 1)] + rest
-    return cf_eval([lead] + [c if type(c) is _Run else -c for c in reversed(rest)])
+    q, _, p, _ = reference_item_fold([lead] + [c if type(c) is _Run else -c for c in reversed(rest)])
+    return Fraction(q, p)
 
 
 # The reference descent writes every entry out, one Fraction step each; a
@@ -286,12 +408,22 @@ class TestRunFormAgainstReference:
     @given(run_families)
     @settings(max_examples=400, deadline=None)
     def test_expansion_and_twist_sum(self, x):
+        assert_matches_run_items(x)
+        q, _, p, _ = _fold_runs(_even_runs(x))
+        assert Fraction(q, p) == x
         if entry_count(x) > REFERENCE_CAP:
-            assert cf_eval(_even_runs(x)[0]) == x
             return
         reference = reference_even_cf_expand(x)
         assert even_cf_expand(x) == reference
-        assert _even_runs(x)[1] == sum(reference.a_entries) == sum_a(reference)
+        assert sum_a(even_cf_expand(x)) == sum(reference.a_entries)
+
+    def test_matches_run_items_near_one(self):
+        for x in NEAR_ONE_FAMILY:
+            assert_matches_run_items(x)
+
+    def test_matches_run_items_on_the_acceptance_seeds(self):
+        for x in sample_odd_slopes(10**4, seed=20260808):
+            assert_matches_run_items(x)
 
     @given(run_families)
     @settings(max_examples=400, deadline=None)
@@ -328,24 +460,31 @@ class TestRunFormAgainstReference:
         assert entry_count(x) == REFERENCE_CAP + 1
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("count", range(7))
+    @pytest.mark.parametrize("count", range(1, 8))
     def test_run_fold_is_the_pair_fold(self, sign, count):
-        assert _fold([_Run(sign, count)]) == _fold([2 * sign, -2 * sign] * count)
-        assert _fold([3, _Run(sign, count), -5]) == _fold([3] + [2 * sign, -2 * sign] * count + [-5])
+        # A run of blocks (g, -g) first, in the middle, before the closing
+        # block, and last, where its final block folds on its own: the fold
+        # does not read the sign rule that makes that last one invalid.
+        pairs = [2 * sign, -2 * sign] * count
+        run = (sign, -sign, count)
+        assert _fold_runs((run, (3, None, 1))) == _fold(pairs + [6])
+        assert _fold_runs(((3, 2, 1), run, (-5, -3, 1))) == _fold([6, 4] + pairs + [-10, -3])
+        assert _fold_runs(((0, 2, 1), run, (2, 1, 1))) == _fold([0, 4] + pairs + [4, 1])
+        assert _fold_runs(((3, 2, 1), run)) == _fold([6, 4] + pairs[:-1] + [-sign])
 
     def test_runs_at_both_slots(self):
         # (p + 1)/p opens on a run at an a slot, (p - 1)/p puts it at a b slot.
-        items, total = _even_runs(Fraction(10**6 + 1, 10**6))
-        assert items == [_Run(1, 499_999), 2, -2] and total == 500_000
-        items, total = _even_runs(Fraction(10**6 - 1, 10**6))
-        assert items == [0, _Run(1, 499_998), 2, -2, 2] and total == -499_999
+        e = even_cf_expand(Fraction(10**6 + 1, 10**6))
+        assert e.runs == ((1, -1, 499_999), (1, -2, 1)) and sum_a(e) == 500_000
+        e = even_cf_expand(Fraction(10**6 - 1, 10**6))
+        assert e.runs == ((0, 1, 1), (-1, 1, 499_998), (-1, 2, 1)) and sum_a(e) == -499_999
 
 
 def reference_entry_writer(x):
     """The a entries, b entries and has_final_b of x, written entry by entry
-    from the run-form descent as even_cf_expand wrote them before EvenCF
+    from the run-item descent as even_cf_expand wrote them before EvenCF
     stored runs: the reference for the run-form writer."""
-    items = _even_runs(Fraction(x))[0]
+    items = reference_items(x)[0]
     halves = ([], [])
     slot = 0
     for c in items:
@@ -406,7 +545,7 @@ class TestRunStorage:
     def test_matches_entry_writer(self, x):
         # The reference writes every entry out, and a random 80-digit
         # fraction within 10^-80 of 1 or -1 has about 10^80 of them.
-        assume(sum(2 * c.count if type(c) is _Run else 1 for c in _even_runs(x)[0]) <= 10**5)
+        assume(sum(2 * c.count if type(c) is _Run else 1 for c in reference_items(x)[0]) <= 10**5)
         assert_matches_entry_writer(x)
 
     def test_matches_entry_writer_near_one(self):
@@ -440,3 +579,114 @@ class TestRunStorage:
         assert EvenCF([1, 2], [-2, 1], True) == EvenCF((1, 2), (-2, 1), True)
         assert len({EvenCF((1, 2), (-2, 1), True), even_cf_expand(Fraction(33, 19))}) == 1
         assert EvenCF((1,), (), False) != EvenCF((1,), (1,), True)
+
+
+nonzero = st.integers(-3, 3).filter(bool)
+blocks = st.one_of(st.sampled_from([(1, -1), (-1, 1)]), st.tuples(nonzero, nonzero))
+
+
+@st.composite
+def valid_expansions(draw):
+    """An EvenCF from drawn runs of blocks: parabolic runs (g, -g) anywhere,
+    other repeated blocks, an optional leading (0, b), and a closing block
+    that may extend the run before it."""
+    a_entries, b_entries = [], []
+    lead = draw(st.one_of(st.none(), nonzero))
+    if lead is not None:
+        a_entries.append(0)
+        b_entries.append(lead)
+    for (a, b), n in draw(st.lists(st.tuples(blocks, st.integers(1, 7)), max_size=5)):
+        a_entries += [a] * n
+        b_entries += [b] * n
+    a_entries.append(draw(nonzero))
+    b_last = draw(st.one_of(st.none(), st.integers(-5, 5).filter(bool)))
+    if b_last is not None:
+        b_entries.append(b_last)
+    try:
+        return EvenCF(a_entries, b_entries, b_last is not None)
+    except ValueError:  # a closing pair against the sign rule
+        assume(False)
+
+
+class TestFoldRuns:
+    @given(valid_expansions())
+    @settings(max_examples=500)
+    def test_is_the_fold_of_the_entries(self, e):
+        assert _fold_runs(e.runs) == _fold(e.entries())
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("block", [(1, 1), (2, -1), (-1, -2), (1, -1), (-1, 1)])
+    def test_repeated_blocks(self, block, n):
+        a, b = block
+        for a_entries, b_entries in [
+            ([a] * n + [3], [b] * n + [2]),  # first
+            ([2] + [a] * n + [3], [1] + [b] * n + [2]),  # in the middle
+            ([0] + [a] * n + [-3], [-2] + [b] * n + [-1]),  # after a leading (0, b)
+        ]:
+            e = EvenCF(a_entries, b_entries, True)
+            assert (a, b, n) in e.runs
+            assert _fold_runs(e.runs) == _fold(e.entries())
+
+    def test_last_run_longer_than_one(self):
+        e = even_cf_expand(Fraction(-667, 1635))
+        assert e.runs[-1] == (1, 1, 2)
+        assert _fold_runs(e.runs) == _fold(e.entries())
+        twist = -2 * sum_a(e)  # 1635 is odd
+        assert change_of_basis(Fraction(-667, 1635)) == word_product(e.entries() + (twist,))
+
+    def test_leading_zero_block(self):
+        e = even_cf_expand(Fraction(1, 3))
+        assert e.runs == ((0, 3, 1),)
+        assert _fold_runs(e.runs) == _fold((0, 3))
+
+
+# Runs that start at a b slot, N/2 blocks long: (N/(N + 1), -N/(N + 1),
+# (3N + 2)/(N + 1) and (N - 1)/N for even N.
+def b_slot_runs(n):
+    half = n // 2
+    return {
+        Fraction(n, n + 1): ((0, 1, 1), (-1, 1, half - 1), (-1, None, 1)),
+        Fraction(-n, n + 1): ((0, -1, 1), (1, -1, half - 1), (1, None, 1)),
+        Fraction(3 * n + 2, n + 1): ((1, 1, 1), (-1, 1, half - 1), (-1, None, 1)),
+        Fraction(n - 1, n): ((0, 1, 1), (-1, 1, half - 2), (-1, 2, 1)),
+    }
+
+
+class TestRunsFromABSlot:
+    @pytest.mark.parametrize("n", [10**2, 10**4])
+    def test_formula_is_the_reference(self, n):
+        for x, runs in b_slot_runs(n).items():
+            assert even_cf_expand(x) == reference_even_cf_expand(x)
+            assert even_cf_expand(x).runs == runs
+
+    @pytest.mark.parametrize("n", [10**16, 10**300])
+    def test_at_scale(self, n):
+        for x, runs in b_slot_runs(n).items():
+            assert _even_runs(x) == reference_items_to_runs(reference_items(x)[0]) == runs
+            q, _, p, _ = _fold_runs(runs)
+            assert Fraction(q, p) == x
+            if x.numerator % 2:
+                assert change_of_basis(x) == reference_change_of_basis(x)
+                assert st_convert(st_convert(x)) == x
+
+
+class TestWritersOfAHugeRun:
+    # (N + 1)/N with N = 10^30: runs ((1, -1, N/2 - 1), (1, -2, 1)), a run
+    # longer than any list can be.
+    x = Fraction(10**30 + 1, 10**30)
+
+    @pytest.mark.parametrize(
+        "write",
+        [lambda e: e.a_entries, lambda e: e.b_entries, lambda e: e.entries(), str],
+        ids=["a_entries", "b_entries", "entries", "str"],
+    )
+    def test_expansion_writers(self, write):
+        e = even_cf_expand(self.x)
+        assert e.runs == ((1, -1, 5 * 10**29 - 1), (1, -2, 1))
+        with pytest.raises(MemoryError, match=f"^a run of {5 * 10**29 - 1} blocks cannot be written out$"):
+            write(e)
+
+    def test_conversion_word(self):
+        with pytest.raises(MemoryError, match="cannot be written out"):
+            conversion_word(self.x)
+        assert st_convert(st_convert(self.x)) == self.x

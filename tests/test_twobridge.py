@@ -39,7 +39,6 @@ from tunnelslopes import (
 )
 import tunnelslopes.oracle
 import tunnelslopes.twobridge
-from tunnelslopes.contfrac import _even_runs
 from tunnelslopes.oracle import unit_rewrite_check
 from tunnelslopes.twobridge import _unit_word, _walk
 
@@ -176,6 +175,13 @@ class TestUnitRewrite:
     def test_zero_a_entry_rejected(self):
         with pytest.raises(ValueError, match="every a entry nonzero"):
             unit_rewrite(EvenCF((0,), (-1,), True))
+
+    def test_too_many_units_to_write_out(self):
+        # (N + 1)/(N - 1) with N = 10^30 has a run of N/4 - 1 units, longer
+        # than any list can be.
+        form = make_form(10**30 + 1, 10**30 - 1)
+        with pytest.raises(MemoryError, match=f"^a run of {10**30 // 4 - 1} units cannot be written out$"):
+            unit_rewrite(form.expansion)
 
 
 class TestCablingStep:
@@ -636,7 +642,7 @@ def test_form_of_a_huge_run_stays_small():
         tracemalloc.stop()
     assert peak < 4096
     assert len(form.expansion.runs) == 2
-    assert sum_a(form.expansion) == _even_runs(Fraction(b, a))[1] == 25 * 10**14
+    assert sum_a(form.expansion) == 25 * 10**14
     walk = list(islice(_walk(form), 9))
     assert len(walk) <= 8
     assert sum(count for count, _, _, _ in walk) == 25 * 10**14 - 1
