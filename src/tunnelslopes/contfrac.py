@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import islice, zip_longest
 
 from .rationals import (
     INFINITY,
@@ -129,7 +128,9 @@ class EvenCF(_Record):
     last block's b is the closing bk exactly as it appears in the word, or
     None when the word ends on 2ak. ``runs`` holds the maximal runs of equal
     consecutive blocks as (ai, bi, count), so n pairs (2s, -2s) take one
-    item. ``a_entries`` (a1..ak), ``b_entries`` (b1..b(k-1), plus bk when
+    item. A plain record: ``even_cf_expand`` is the one validated way to
+    build it, and the oracle and the tests check the rules its runs obey.
+    ``a_entries`` (a1..ak), ``b_entries`` (b1..b(k-1), plus bk when
     ``has_final_b``) and ``entries()`` are written out from the runs on
     every read, at O(entries) cost each; a run too long to write out raises
     ``MemoryError``.
@@ -137,41 +138,8 @@ class EvenCF(_Record):
 
     __slots__ = ("runs",)
 
-    def __init__(self, a_entries, b_entries, has_final_b: bool):
-        a_entries, b_entries = tuple(a_entries), tuple(b_entries)
-        k = len(a_entries)
-        if k == 0:
-            raise ValueError("an even expansion needs at least one a entry")
-        expected_b = k - 1 + (1 if has_final_b else 0)
-        if len(b_entries) != expected_b:
-            raise ValueError(
-                f"expected {expected_b} b entries for k={k}, got {len(b_entries)}"
-            )
-        if 0 in islice(a_entries, 1, None):
-            raise ValueError("only the leading a entry may be zero")
-        if 0 in b_entries:
-            raise ValueError("b entries must be nonzero")
-        if has_final_b:
-            a_last, b_last = a_entries[-1], b_entries[-1]
-            if abs(b_last) == 1 and a_last != 0 and (a_last > 0) != (b_last > 0):
-                raise ValueError(
-                    f"closing pair ({a_last}, {b_last}) must share a sign when bk is +-1"
-                )
-        runs: list = []
-        for a, b in zip_longest(a_entries, b_entries):
-            _add_blocks(runs, a, b, 1)
-        _set(self, "runs", tuple(runs))
-
-    @classmethod
-    def _of_runs(cls, runs: tuple) -> "EvenCF":
-        """The expansion with these runs, which the caller has made maximal
-        and valid; nothing is checked."""
-        e = object.__new__(cls)
-        _set(e, "runs", runs)
-        return e
-
-    def __reduce__(self):
-        return EvenCF._of_runs, (self.runs,)  # __init__ takes the entries
+    def __init__(self, runs: tuple):
+        _set(self, "runs", runs)
 
     def _written(self, block) -> list:
         """The concatenation of block(a, b) * count over the runs."""
@@ -249,7 +217,7 @@ def _even_runs(x: Fraction) -> tuple:
 
 def even_cf_expand(x) -> EvenCF:
     """The unique constraint-satisfying even expansion of a rational."""
-    return EvenCF._of_runs(_even_runs(Fraction(x)))
+    return EvenCF(_even_runs(Fraction(x)))
 
 
 def sum_a(e: EvenCF) -> int:

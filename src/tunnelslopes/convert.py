@@ -53,11 +53,14 @@ def conversion_word(x) -> tuple[int, ...]:
 
 
 def st_convert(x) -> Fraction:
-    """Convert one slope invariant of a tunnel into the other."""
+    """Convert one slope invariant of a tunnel into the other.
+
+    The result always has x's denominator: the first column (q, p) of
+    ``change_of_basis(x)`` is the fold of x's expansion, which is unimodular,
+    so |p| is x's denominator, never 0, and r is prime to p.
+    """
     x = _odd(x)
     m = change_of_basis(x)
-    if m.p == 0:
-        raise ArithmeticError(f"conversion of {x} produced an infinite slope")
     return Fraction(-m.r, m.p)
 
 

@@ -7,7 +7,9 @@ and give the twist counts of the cabling walk.
 All three checks fold integer words with their own loop on pairs (n, d) =
 n/d, sharing nothing with the fold or the expansion they certify; a value
 becomes a ``Fraction`` or ``INFINITY`` only as an enumeration key or in a
-violation message.
+violation message. The unit rewrite, which writes every twist out as one
+unit, lives here too: the cabling walk of ``twobridge`` never needs it, and
+this is the one place that certifies with it.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .contfrac import even_cf_expand
+from .contfrac import EvenCF, even_cf_expand
 from .rationals import _quotient, _Record, _set, render
 from .sl2 import word_product
-from .twobridge import TwoBridgeForm, _unit_word, cabling_steps, make_form, unit_rewrite
+from .twobridge import TwoBridgeForm, cabling_steps, make_form
 
 
 class OracleReport(_Record):
@@ -115,8 +117,8 @@ def random_word_dictionary_check(samples: int, seed: int) -> OracleReport:
     """Check all four continued-fraction identities on random generator words.
 
     Words have one to four (a, b) exponent pairs drawn from [-5, 5] without
-    zero. The identities are evaluated from scratch here rather than through
-    ``cf_entries_from_word``. Deterministic for a fixed seed.
+    zero. The four quotients of ``word_product``'s entries are compared with
+    continued fractions evaluated from scratch. Deterministic for a fixed seed.
     """
     if samples < 0:
         raise ValueError("sample count must be nonnegative")
@@ -143,6 +145,35 @@ def random_word_dictionary_check(samples: int, seed: int) -> OracleReport:
     return OracleReport(
         "cf/matrix dictionary", checked=samples, violations=tuple(sorted(violations))
     )
+
+
+def _unit_word(unit_a: tuple[int, ...], unit_b: tuple[int, ...]) -> tuple[int, ...]:
+    word = []
+    for u, b in zip(unit_a, unit_b[:-1]):
+        word.extend((2 * u, 2 * b))
+    word.extend((2 * unit_a[-1], unit_b[-1]))
+    return tuple(word)
+
+
+def unit_rewrite(e: EvenCF) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Expand every a entry into signed units, padding with zero b entries.
+
+    The value is unchanged and the closing b entry stays put; the number of
+    units is the sum of |ai|, and a run too long to write out raises MemoryError.
+    """
+    if not e.has_final_b:
+        raise ValueError("unit rewrite needs the odd-numerator (knot) form")
+    if any(a == 0 for a, _, _ in e.runs):
+        raise ValueError("unit rewrite needs every a entry nonzero (|value| > 1)")
+    unit_a: list[int] = []
+    unit_b: list[int] = []
+    try:
+        for a, b, n in e.runs:
+            unit_a += [1 if a > 0 else -1] * (abs(a) * n)
+            unit_b += ([0] * (abs(a) - 1) + [b]) * n
+    except OverflowError:
+        raise MemoryError(f"a run of {abs(a) * n} units cannot be written out") from None
+    return tuple(unit_a), tuple(unit_b)
 
 
 def unit_rewrite_check(forms: list[TwoBridgeForm]) -> OracleReport:

@@ -2,11 +2,12 @@
 
 U is upper unitriangular, L lower unitriangular. A word is a sequence of
 exponents (a1, b1, a2, b2, ...) read as U^a1 L^b1 U^a2 L^b2 and so on. A
-matrix is only its four entries; the continued fractions a word encodes are
-read off the matrix its product gives. ``change_of_basis`` folds the runs of
-equal blocks that ``contfrac`` keeps the even expansion in, a run of blocks
-(g, -g) as one closed-form matrix, so its cost follows the regular partial
-quotients of the slope rather than the length of the expansion.
+matrix is only its four entries; the four continued fractions a word
+encodes are quotients of the entries of its product (see ``word_product``).
+``change_of_basis`` folds the runs of equal blocks that ``contfrac`` keeps
+the even expansion in, a run of blocks (g, -g) as one closed-form matrix, so
+its cost follows the regular partial quotients of the slope rather than the
+length of the expansion.
 """
 
 from __future__ import annotations
@@ -50,35 +51,18 @@ def word_product(exponents: Iterable[int]) -> SL2Matrix:
 
     With J = (0 1 / 1 0), U^a = (a 1 / 1 0) J and L^b = J (b 1 / 1 0), so the
     J factors cancel in pairs and only an odd-length word keeps one, which
-    swaps the columns of the continued-fraction fold.
+    swaps the columns of the continued-fraction fold. So for a nonempty word
+    with product (q s / p r), q/p, s/r, q/s and p/r are the values of the
+    word, the word without its last entry, the reversed word, and the
+    reversed word without its last entry, a word of odd length being padded
+    with a final zero; ``oracle.random_word_dictionary_check`` certifies
+    these four identities with its own fold.
     """
     exps = tuple(exponents)
     q, s, p, r = _fold(exps)
     if len(exps) % 2:
         q, s, p, r = s, q, r, p
     return SL2Matrix(q, s, p, r)
-
-
-def cf_entries_from_word(word: Iterable[int]) -> tuple[ProjectiveRational, ...]:
-    """The four continued fractions a nonempty exponent word encodes.
-
-    With (q s / p r) = ``word_product(word)``, returns (q/p, s/r, q/s, p/r):
-    the values of the word, the word without its last entry, the reversed
-    word, and the reversed word without its last entry, a word of odd length
-    being padded with a final zero. These are identities of the fold of
-    symmetric (c 1 / 1 0) behind ``word_product``; the oracle certifies them
-    with its own fold of integer pairs.
-    """
-    word = tuple(word)
-    if not word:
-        raise ValueError("the empty word has no continued-fraction entries")
-    m = word_product(word)
-    return (
-        _quotient(m.q, m.p),
-        _quotient(m.s, m.r),
-        _quotient(m.q, m.s),
-        _quotient(m.p, m.r),
-    )
 
 
 def change_of_basis(x) -> SL2Matrix:

@@ -24,9 +24,12 @@ never its written-out entries: a run of n blocks gives it at most two keys,
 n - 1 blocks whose lower neighbour is the same block and one whose lower
 neighbour ends the run below. So a form costs memory and Python steps per
 run, not per entry or per twist; only the tuples that ``two_bridge_slopes``
-and ``cabling_steps`` return grow with the twists. ``make_form`` is the one
-validation of b/a; the records it builds are not checked again, and
-``oracle.unit_rewrite_check`` certifies the walk against ``unit_rewrite``.
+and ``cabling_steps`` return grow with the twists. This module holds only
+that path: ``make_form`` is the one validation of b/a, ``_first_residue``
+and ``_walk`` the one place a zero twist count is rejected, and the records
+are not checked again.
+``oracle.unit_rewrite_check`` certifies the walk against the unit rewrite,
+one unit per twist, which only the oracle writes out.
 """
 
 from __future__ import annotations
@@ -60,16 +63,13 @@ def _cabling_slope(k: int, even: bool) -> Fraction:
 
 
 class CablingStep(_Record):
-    """One cabling beyond the first: its unit index, twist count k != 0 and
-    strand parity, from which the slope 2 + 1/k or -2 + 1/k is derived."""
+    """One cabling beyond the first: its unit index, twist count k and strand
+    parity ("even" or "odd"), from which the slope 2 + 1/k or -2 + 1/k is
+    derived; a plain record of what the walk yields, which rejects k = 0."""
 
     __slots__ = ("index", "k", "parity")
 
     def __init__(self, index: int, k: int, parity: str):
-        if parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-        if k == 0:
-            raise CablingContradictionError(f"cabling {index} has twist count 0")
         _set(self, "index", index)
         _set(self, "k", k)
         _set(self, "parity", parity)
@@ -89,35 +89,6 @@ class TwoBridgeForm(_Record):
         _set(self, "b", b)
         _set(self, "a", a)
         _set(self, "expansion", expansion)
-
-
-def _unit_word(unit_a: tuple[int, ...], unit_b: tuple[int, ...]) -> tuple[int, ...]:
-    word = []
-    for u, b in zip(unit_a, unit_b[:-1]):
-        word.extend((2 * u, 2 * b))
-    word.extend((2 * unit_a[-1], unit_b[-1]))
-    return tuple(word)
-
-
-def unit_rewrite(e: EvenCF) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Expand every a entry into signed units, padding with zero b entries.
-
-    The value is unchanged and the closing b entry stays put; the number of
-    units is the sum of |ai|, and a run too long to write out raises MemoryError.
-    """
-    if not e.has_final_b:
-        raise ValueError("unit rewrite needs the odd-numerator (knot) form")
-    if any(a == 0 for a, _, _ in e.runs):
-        raise ValueError("unit rewrite needs every a entry nonzero (|value| > 1)")
-    unit_a: list[int] = []
-    unit_b: list[int] = []
-    try:
-        for a, b, n in e.runs:
-            unit_a += [1 if a > 0 else -1] * (abs(a) * n)
-            unit_b += ([0] * (abs(a) - 1) + [b]) * n
-    except OverflowError:
-        raise MemoryError(f"a run of {abs(a) * n} units cannot be written out") from None
-    return tuple(unit_a), tuple(unit_b)
 
 
 def make_form(b: int, a: int) -> TwoBridgeForm:

@@ -1,5 +1,8 @@
+import copy
+import pickle
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -165,14 +168,43 @@ def test_zero_entry_collapse(prefix, suffix, c, d):
     assert left == right or (left is INFINITY and right is INFINITY)
 
 
+def reference_even_cf(a_entries, b_entries, has_final_b) -> EvenCF:
+    """The EvenCF of an expansion given by its entries, checked entry by entry
+    as EvenCF's own constructor did before it took only runs: the reference
+    for the run rules and the way the tests build an expansion by hand."""
+    a_entries, b_entries = tuple(a_entries), tuple(b_entries)
+    k = len(a_entries)
+    if k == 0:
+        raise ValueError("an even expansion needs at least one a entry")
+    expected_b = k - 1 + (1 if has_final_b else 0)
+    if len(b_entries) != expected_b:
+        raise ValueError(
+            f"expected {expected_b} b entries for k={k}, got {len(b_entries)}"
+        )
+    if 0 in islice(a_entries, 1, None):
+        raise ValueError("only the leading a entry may be zero")
+    if 0 in b_entries:
+        raise ValueError("b entries must be nonzero")
+    if has_final_b:
+        a_last, b_last = a_entries[-1], b_entries[-1]
+        if abs(b_last) == 1 and a_last != 0 and (a_last > 0) != (b_last > 0):
+            raise ValueError(
+                f"closing pair ({a_last}, {b_last}) must share a sign when bk is +-1"
+            )
+    runs: list = []
+    for a, b in zip_longest(a_entries, b_entries):
+        _add_blocks(runs, a, b, 1)
+    return EvenCF(tuple(runs))
+
+
 class TestEvenCfValidation:
     def test_interior_a_zero_rejected(self):
         with pytest.raises(ValueError):
-            EvenCF((1, 0), (2, 1), True)
+            reference_even_cf((1, 0), (2, 1), True)
 
     def test_zero_b_rejected(self):
         with pytest.raises(ValueError):
-            EvenCF((1, 2), (0, 1), True)
+            reference_even_cf((1, 2), (0, 1), True)
 
     @pytest.mark.parametrize(
         "a_entries,b_entries,has_final_b,message",
@@ -185,18 +217,18 @@ class TestEvenCfValidation:
     )
     def test_zero_entry_messages(self, a_entries, b_entries, has_final_b, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            EvenCF(a_entries, b_entries, has_final_b)
+            reference_even_cf(a_entries, b_entries, has_final_b)
 
     def test_sign_rule_enforced(self):
         with pytest.raises(ValueError):
-            EvenCF((1,), (-1,), True)
+            reference_even_cf((1,), (-1,), True)
 
     def test_zero_leading_a_with_unit_b_allowed(self):
-        assert cf_eval(EvenCF((0,), (-1,), True).entries()) == Fraction(-1)
+        assert cf_eval(reference_even_cf((0,), (-1,), True).entries()) == Fraction(-1)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            EvenCF((1, 2), (1,), True)
+            reference_even_cf((1, 2), (1,), True)
 
 
 def reference_even_cf_expand(x) -> EvenCF:
@@ -222,7 +254,7 @@ def reference_even_cf_expand(x) -> EvenCF:
         (a if at_a_slot else b).append(e // 2)
         x = 1 / (x - e)
         at_a_slot = not at_a_slot
-    return EvenCF(tuple(a), tuple(b), len(b) == len(a))
+    return reference_even_cf(a, b, len(b) == len(a))
 
 
 def regular_cf_value(quotients):
@@ -524,7 +556,7 @@ def assert_matches_entry_writer(x):
     assert (e.a_entries, e.b_entries, e.has_final_b) == (a, b, has_final_b)
     assert e.entries() == reference_entries(a, b, has_final_b)
     assert sum_a(e) == sum(a)
-    from_entries = EvenCF(a, b, has_final_b)
+    from_entries = reference_even_cf(a, b, has_final_b)
     assert from_entries == e and hash(from_entries) == hash(e)
     assert from_entries.runs == e.runs
 
@@ -571,14 +603,104 @@ class TestRunStorage:
         assert (e.a_entries, e.b_entries, e.has_final_b, e.entries()) == ((1,), (), False, (2,))
 
     def test_entries_constructor_merges_runs(self):
-        e = EvenCF((1, 1, 1, 2), (-1, -1, -2, 1), True)
+        e = reference_even_cf((1, 1, 1, 2), (-1, -1, -2, 1), True)
         assert e.runs == ((1, -1, 2), (1, -2, 1), (2, 1, 1))
         assert e == even_cf_expand(cf_eval(e.entries()))
 
     def test_equality_and_hash_are_by_value(self):
-        assert EvenCF([1, 2], [-2, 1], True) == EvenCF((1, 2), (-2, 1), True)
-        assert len({EvenCF((1, 2), (-2, 1), True), even_cf_expand(Fraction(33, 19))}) == 1
-        assert EvenCF((1,), (), False) != EvenCF((1,), (1,), True)
+        assert reference_even_cf([1, 2], [-2, 1], True) == reference_even_cf((1, 2), (-2, 1), True)
+        assert len({EvenCF(((1, -2, 1), (2, 1, 1))), even_cf_expand(Fraction(33, 19))}) == 1
+        assert reference_even_cf((1,), (), False) != reference_even_cf((1,), (1,), True)
+
+
+def run_violations(runs):
+    """The rules of an even expansion's runs that these runs break, read run
+    by run, so at any length: the checks of the entry constructor, which
+    ``even_cf_expand`` no longer passes through, plus maximality."""
+    if not runs:
+        return ["no blocks"]
+    broken = []
+    if any(run[:2] == below[:2] for below, run in zip(runs, runs[1:])):
+        broken.append("adjacent runs of one block")
+    if any(n < 1 for _, _, n in runs):
+        broken.append("a count below 1")
+    if any(a == 0 for a, _, _ in runs[1:]) or (runs[0][0] == 0 and runs[0][2] > 1):
+        broken.append("a zero a entry after the first")
+    if any(b == 0 for _, b, _ in runs):
+        broken.append("a zero b entry")
+    a, b, n = runs[-1]
+    if any(b is None for _, b, _ in runs[:-1]) or (b is None and n != 1):
+        broken.append("no final b except on a last run of one block")
+    if b is not None and abs(b) == 1 and a != 0 and (a > 0) != (b > 0):
+        broken.append("closing pair against the sign rule")
+    return broken
+
+
+def n_families(n):
+    """(N + 1)/N, (N - 1)/N, (N + 1)/(N - 1) and N/(N + 1), of either sign."""
+    family = (Fraction(n + 1, n), Fraction(n - 1, n), Fraction(n + 1, n - 1), Fraction(n, n + 1))
+    return [s * x for x in family for s in (1, -1)]
+
+
+class TestRunRules:
+    @given(run_families)
+    @settings(max_examples=400, deadline=None)
+    def test_expansions_keep_the_rules(self, x):
+        assert run_violations(even_cf_expand(x).runs) == []
+
+    def test_expansions_near_one_keep_the_rules(self):
+        for x in NEAR_ONE_FAMILY:
+            assert run_violations(even_cf_expand(x).runs) == []
+
+    @pytest.mark.parametrize("n", [10, 10**6, 10**16, 10**300])
+    def test_expansions_at_scale_keep_the_rules(self, n):
+        for x in n_families(n):
+            assert run_violations(even_cf_expand(x).runs) == []
+
+    @pytest.mark.parametrize(
+        "runs,rule",
+        [
+            ((), "no blocks"),
+            (((1, -1, 2), (1, -1, 1), (1, -2, 1)), "adjacent runs of one block"),
+            (((1, -1, 0), (1, -2, 1)), "a count below 1"),
+            (((1, 2, 1), (0, 1, 1)), "a zero a entry after the first"),
+            (((0, 2, 2), (1, 1, 1)), "a zero a entry after the first"),
+            (((1, 0, 1), (2, 1, 1)), "a zero b entry"),
+            (((1, None, 1), (2, 1, 1)), "no final b except on a last run of one block"),
+            (((1, None, 2),), "no final b except on a last run of one block"),
+            (((1, -1, 1),), "closing pair against the sign rule"),
+            (((2, 3, 4), (-1, 1, 1)), "closing pair against the sign rule"),
+        ],
+    )
+    def test_each_rule_catches_a_bad_expansion(self, runs, rule):
+        assert run_violations(EvenCF(runs).runs) == [rule]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.one_of(st.none(), st.integers(-2, 2)), st.integers(0, 2)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=500)
+    def test_rules_are_the_entry_checks(self, runs):
+        # Runs keep the rules exactly when the entry constructor accepts their
+        # written-out entries and gives the same runs back.
+        e = EvenCF(tuple(runs))
+        try:
+            accepted = reference_even_cf(e.a_entries, e.b_entries, e.has_final_b).runs == e.runs
+        except ValueError:
+            accepted = False
+        assert (run_violations(e.runs) == []) == accepted
+
+    def test_pickles_and_copies_at_scale(self):
+        # Two runs standing for 10^300 entries: a copy that wrote them out
+        # would raise MemoryError.
+        e = even_cf_expand(Fraction(10**300 + 1, 10**300))
+        twins = [pickle.loads(pickle.dumps(e, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(e), copy.deepcopy(e)]:
+            assert type(twin) is EvenCF
+            assert (twin == e, twin.runs, hash(twin)) == (True, e.runs, hash(e))
 
 
 nonzero = st.integers(-3, 3).filter(bool)
@@ -603,7 +725,7 @@ def valid_expansions(draw):
     if b_last is not None:
         b_entries.append(b_last)
     try:
-        return EvenCF(a_entries, b_entries, b_last is not None)
+        return reference_even_cf(a_entries, b_entries, b_last is not None)
     except ValueError:  # a closing pair against the sign rule
         assume(False)
 
@@ -623,7 +745,7 @@ class TestFoldRuns:
             ([2] + [a] * n + [3], [1] + [b] * n + [2]),  # in the middle
             ([0] + [a] * n + [-3], [-2] + [b] * n + [-1]),  # after a leading (0, b)
         ]:
-            e = EvenCF(a_entries, b_entries, True)
+            e = reference_even_cf(a_entries, b_entries, True)
             assert (a, b, n) in e.runs
             assert _fold_runs(e.runs) == _fold(e.entries())
 

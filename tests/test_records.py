@@ -12,7 +12,6 @@ import pickle
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, zip_longest
 from types import SimpleNamespace
 from typing import Optional, Tuple
 
@@ -20,8 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tunnelslopes as ts
-from tunnelslopes import INFINITY, CablingContradictionError, ProjectiveRational, Target, TunnelKind
-from tunnelslopes.contfrac import _add_blocks
+from tunnelslopes import INFINITY, ProjectiveRational, Target, TunnelKind
 from tunnelslopes.tunnels import _exact_tuple
 
 
@@ -52,34 +50,9 @@ class SL2Matrix:
             )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EvenCF:
     runs: Tuple[Tuple[int, Optional[int], int], ...]
-
-    def __init__(self, a_entries, b_entries, has_final_b: bool):
-        a_entries, b_entries = tuple(a_entries), tuple(b_entries)
-        k = len(a_entries)
-        if k == 0:
-            raise ValueError("an even expansion needs at least one a entry")
-        expected_b = k - 1 + (1 if has_final_b else 0)
-        if len(b_entries) != expected_b:
-            raise ValueError(
-                f"expected {expected_b} b entries for k={k}, got {len(b_entries)}"
-            )
-        if 0 in islice(a_entries, 1, None):
-            raise ValueError("only the leading a entry may be zero")
-        if 0 in b_entries:
-            raise ValueError("b entries must be nonzero")
-        if has_final_b:
-            a_last, b_last = a_entries[-1], b_entries[-1]
-            if abs(b_last) == 1 and a_last != 0 and (a_last > 0) != (b_last > 0):
-                raise ValueError(
-                    f"closing pair ({a_last}, {b_last}) must share a sign when bk is +-1"
-                )
-        runs: list = []
-        for a, b in zip_longest(a_entries, b_entries):
-            _add_blocks(runs, a, b, 1)
-        object.__setattr__(self, "runs", tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -104,12 +77,6 @@ class CablingStep:
     index: int
     k: int
     parity: str
-
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.k == 0:
-            raise CablingContradictionError(f"cabling {self.index} has twist count 0")
 
 
 @dataclass(frozen=True)
@@ -141,7 +108,7 @@ REFERENCE = SimpleNamespace(**{name: globals()[name] for name in RECORDS})
 PARAMETERS = {
     "ResidueSlope": ("value",),
     "SL2Matrix": ("q", "s", "p", "r"),
-    "EvenCF": ("a_entries", "b_entries", "has_final_b"),
+    "EvenCF": ("runs",),
     "TunnelClass": ("kind", "target"),
     "TunnelParams": ("m0", "slopes", "binaries"),
     "CablingStep": ("index", "k", "parity"),
@@ -162,19 +129,20 @@ residue_values = st.one_of(
     st.floats(),
     st.sampled_from(["1/3", "2/3", "x", ""]),
 )
-entry_lists = st.lists(small, max_size=4)
 # Characters that repr quotes or escapes; a fixed alphabet also spares
 # Hypothesis building its Unicode tables on a fresh checkout.
 texts = st.text("ab '\"\\\n", max_size=4)
 
 
+run_items = st.tuples(small, st.one_of(st.none(), small), st.integers(0, 3))
+
+
 @st.composite
 def expansions(draw):
-    """Arguments of EvenCF: a valid expansion, or any short lists."""
+    """Arguments of EvenCF: the runs of an expansion, or any short runs."""
     if draw(st.booleans()):
-        e = ts.even_cf_expand(draw(fractions))
-        return e.a_entries, e.b_entries, e.has_final_b
-    return draw(entry_lists), draw(entry_lists), draw(st.booleans())
+        return (ts.even_cf_expand(draw(fractions)).runs,)
+    return (tuple(draw(st.lists(run_items, max_size=4))),)
 
 
 @st.composite

@@ -7,7 +7,6 @@ from tunnelslopes import (
     INFINITY,
     ParityError,
     SL2Matrix,
-    cf_entries_from_word,
     change_of_basis,
     projective_add_invert,
     word_product,
@@ -77,9 +76,21 @@ class TestWordProduct:
             SL2Matrix(1, 1, 1, 1)
 
 
+def quotients(word):
+    """(q/p, s/r, q/s, p/r) of word_product(word) = (q s / p r)."""
+    m = word_product(word)
+    return tuple(
+        INFINITY if d == 0 else Fraction(n, d) for n, d in ((m.q, m.p), (m.s, m.r), (m.q, m.s), (m.p, m.r))
+    )
+
+
 class TestCfEntriesFromWord:
+    # The four continued fractions a word encodes are the quotients q/p, s/r,
+    # q/s and p/r of its product's entries: the word, the word without its
+    # last entry, the reversed word and the reversed word without its last
+    # entry, a word of odd length padded with a final zero.
     def test_pair_word(self):
-        assert cf_entries_from_word((1, 1)) == (
+        assert quotients((1, 1)) == (
             Fraction(2),
             Fraction(1),
             Fraction(2),
@@ -87,7 +98,7 @@ class TestCfEntriesFromWord:
         )
 
     def test_pair_word_with_distinct_entries(self):
-        assert cf_entries_from_word((2, 1)) == (
+        assert quotients((2, 1)) == (
             Fraction(3),
             Fraction(2),
             Fraction(3, 2),
@@ -95,12 +106,8 @@ class TestCfEntriesFromWord:
         )
 
     def test_odd_word_padded(self):
-        quartet = cf_entries_from_word((2,))
+        quartet = quotients((2,))
         assert quartet == (INFINITY, Fraction(2), Fraction(1, 2), Fraction(0))
-
-    def test_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            cf_entries_from_word(())
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=8))
     @settings(max_examples=200)
@@ -110,7 +117,7 @@ class TestCfEntriesFromWord:
         expected = tuple(
             cf_value(entries) for entries in (padded, padded[:-1], reverse, reverse[:-1])
         )
-        assert cf_entries_from_word(word) == expected
+        assert quotients(word) == expected
 
     @given(st.lists(nonzero_exponents, min_size=2, max_size=8).filter(lambda w: len(w) % 2 == 0))
     def test_transpose_symmetry(self, word):

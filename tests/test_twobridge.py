@@ -34,15 +34,14 @@ from tunnelslopes import (
     serialize,
     sum_a,
     two_bridge_slopes,
-    unit_rewrite,
     validate,
 )
 import tunnelslopes.oracle
 import tunnelslopes.twobridge
-from tunnelslopes.oracle import unit_rewrite_check
-from tunnelslopes.twobridge import _unit_word, _walk
+from tunnelslopes.oracle import _unit_word, unit_rewrite, unit_rewrite_check
+from tunnelslopes.twobridge import _first_residue, _walk
 
-from test_contfrac import reference_entry_writer, run_families
+from test_contfrac import reference_even_cf, reference_entry_writer, run_families
 from test_tunnels import reference_serialize
 
 
@@ -158,7 +157,7 @@ class TestUnitRewrite:
         assert unit_rewrite(even_cf_expand(Fraction(3))) == ((1,), (1,))
 
     def test_negative_units(self):
-        e = EvenCF((-1, -1), (-2, -1), True)
+        e = reference_even_cf((-1, -1), (-2, -1), True)
         assert unit_rewrite(e) == ((-1, -1), (-2, -1))
         assert cf_eval(_unit_word(*unit_rewrite(e))) == cf_eval(e.entries())
 
@@ -174,7 +173,7 @@ class TestUnitRewrite:
 
     def test_zero_a_entry_rejected(self):
         with pytest.raises(ValueError, match="every a entry nonzero"):
-            unit_rewrite(EvenCF((0,), (-1,), True))
+            unit_rewrite(EvenCF(((0, -1, 1),)))
 
     def test_too_many_units_to_write_out(self):
         # (N + 1)/(N - 1) with N = 10^30 has a run of N/4 - 1 units, longer
@@ -190,16 +189,9 @@ class TestCablingStep:
         with pytest.raises(TypeError):
             CablingStep(index=1, k=3, parity="even", slope=Fraction(5, 2))
 
-    def test_zero_twist_rejected(self):
-        with pytest.raises(CablingContradictionError):
-            CablingStep(index=1, k=0, parity="even")
-
-    def test_unknown_parity_rejected(self):
-        with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'both'"):
-            CablingStep(1, 3, "both")
-
-    # make_form never builds these expansions (EvenCF rejects them), but a
-    # TwoBridgeForm is a plain record, so the walk keeps its guards.
+    # make_form never builds these expansions (they break the run rules), but
+    # a TwoBridgeForm and its CablingStep records are plain records, so the
+    # walk is where a zero twist count is rejected.
     def test_zero_first_twist_rejected(self):
         # a = (2, -1), b = (-2, 1)
         expansion = SimpleNamespace(runs=((2, -2, 1), (-1, 1, 1)))
@@ -274,7 +266,7 @@ def forms_with_wide_blocks(count, seed):
         b_last = signed(1, 9)
         if abs(b_last) == 1:
             b_last = 1 if a[-1] > 0 else -1
-        expansion = EvenCF(tuple(a), tuple(b) + (b_last,), True)
+        expansion = reference_even_cf(a, b + [b_last], True)
         x = cf_eval(expansion.entries())
         form = make_form(x.numerator, x.denominator)
         assert form.expansion == expansion
@@ -343,7 +335,7 @@ def forms_with_long_blocks(draw):
     b_last = draw(signed(st.integers(1, 9)))
     if abs(b_last) == 1:
         b_last = 1 if a[-1] > 0 else -1
-    expansion = EvenCF(tuple(a), tuple(b) + (b_last,), True)
+    expansion = reference_even_cf(a, b + [b_last], True)
     x = cf_eval(expansion.entries())
     form = make_form(x.numerator, x.denominator)
     assert form.expansion == expansion
@@ -587,7 +579,7 @@ def assert_matches_entry_walk(form):
     """The expansion, the walk and the serialized slopes of a form against
     the entry-by-entry writer, the grouped walk and str() per bit."""
     x = Fraction(form.b, form.a)
-    assert form.expansion == EvenCF(*reference_entry_writer(x))
+    assert form.expansion == reference_even_cf(*reference_entry_writer(x))
     assert list(_walk(form)) == list(reference_grouped_walk(form))
     t = two_bridge_slopes(form)
     assert serialize(t) == reference_serialize(t)
@@ -627,6 +619,46 @@ def test_runs_match_the_entries_on_run_families(x):
     assume(all(sum(abs(a) * n for a, _, n in f.expansion.runs) <= 10**4 for f in forms))
     for form in forms:
         assert_matches_entry_walk(form)
+
+
+def merged_walk(form):
+    """_walk's items with consecutive items of one (k, parity) merged into
+    one: the counts summed, the first item's top index kept."""
+    merged = []
+    for count, top, k, even in _walk(form):
+        if merged and merged[-1][2:] == (k, even):
+            merged[-1] = (merged[-1][0] + count, merged[-1][1], k, even)
+        else:
+            merged.append((count, top, k, even))
+    return merged
+
+
+def assert_residues_agree(b, a, cap=10**6):
+    """Both admissible residues of b/a give the same first residue and the
+    same merged walk, read per run, and the same tuple text when it has at
+    most cap slopes. Unmerged, the walks of the two forms often differ."""
+    first, second = normalize_input(b, a)
+    assert _first_residue(first) == _first_residue(second)
+    walk = merged_walk(first)
+    assert merged_walk(second) == walk
+    if sum(count for count, _, _, _ in walk) <= cap:
+        assert serialize(two_bridge_slopes(first)) == serialize(two_bridge_slopes(second))
+
+
+def test_residue_pair_identity_on_the_benchmark_pools():
+    for item in slopes_2bridge_pools():
+        assert_residues_agree(*item)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**16, 10**300], ids=["1e6", "1e16", "1e300"])
+def test_residue_pair_identity_on_n_families(n):
+    for b, a in [(n + 1, n), (n - 1, n), (n + 1, n - 1), (n + 3, n + 1), (2 * n + 1, n + 1), (n + 1, 2)]:
+        assert_residues_agree(b, a)
+
+
+def test_residue_pair_identity_on_random_40_digit_invariants():
+    for item in random_invariants(200, seed=40, bound=10**40):
+        assert_residues_agree(*item)
 
 
 def test_form_of_a_huge_run_stays_small():
