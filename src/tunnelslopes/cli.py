@@ -97,7 +97,7 @@ def _classification_line(t: TunnelParams, cls: TunnelClass) -> str:
         line += " (Hopf link)"
     if cls.target is Target.LINK:
         line += f", linking number {_linking_number(t, cls)}"
-    if t.slopes and t.slopes[-1] == 0:
+    if t.slope_runs and t.slope_runs[-1][0] == 0:
         line += " (final slope 0: accepted syntactically)"
     return line
 

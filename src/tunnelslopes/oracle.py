@@ -1,10 +1,11 @@
 """Exhaustive and randomized cross-checks, shipped so the command line can
-re-certify the three load-bearing facts on demand: the even expansion is the
+re-certify the four load-bearing facts on demand: the even expansion is the
 unique constraint-satisfying one at desk scale, word matrices encode exactly
-the continued fractions of their words, and 2-bridge unit rewrites keep b/a
-and give the twist counts of the cabling walk.
+the continued fractions of their words, 2-bridge unit rewrites keep b/a and
+give the twist counts of the cabling walk, and both admissible residues of a
+2-bridge invariant give the same cabling tuple.
 
-All three checks fold integer words with their own loop on pairs (n, d) =
+The first three checks fold integer words with their own loop on pairs (n, d) =
 n/d, sharing nothing with the fold or the expansion they certify; a value
 becomes a ``Fraction`` or ``INFINITY`` only as an enumeration key or in a
 violation message. The unit rewrite, which writes every twist out as one
@@ -21,7 +22,7 @@ from math import gcd
 from .contfrac import EvenCF, even_cf_expand
 from .rationals import _quotient, _Record, _set, render
 from .sl2 import word_product
-from .twobridge import TwoBridgeForm, cabling_steps, make_form
+from .twobridge import TwoBridgeForm, cabling_steps, normalize_input, two_bridge_slopes
 
 
 class OracleReport(_Record):
@@ -196,8 +197,30 @@ def unit_rewrite_check(forms: list[TwoBridgeForm]) -> OracleReport:
     return OracleReport("2-bridge unit rewrite", len(forms), tuple(sorted(violations)))
 
 
+def residue_pair_check(pairs: list[tuple[TwoBridgeForm, TwoBridgeForm]]) -> OracleReport:
+    """Check that both admissible residues of each 2-bridge invariant, the
+    two forms of ``normalize_input``, give the same cabling tuple. Tuples
+    compare by their runs, so a form of 10^300 twists costs a few runs."""
+    violations = []
+    for first, second in pairs:
+        if two_bridge_slopes(first) != two_bridge_slopes(second):
+            violations.append(f"{first.b}/{first.a} and {second.b}/{second.a} give different tuples")
+    return OracleReport("2-bridge residue pair", len(pairs), tuple(sorted(violations)))
+
+
+def _n_family(n: int) -> list[tuple[int, int]]:
+    """Invariants whose expansions are a few runs standing for about n entries."""
+    return [(n + 1, n), (n - 1, n), (n + 1, n - 1), (n + 3, n + 1), (2 * n + 1, n + 1), (n + 1, 2)]
+
+
 def selfcheck() -> list[OracleReport]:
     """The standard certification run used by the command line."""
-    forms = [make_form(b, a) for b in range(3, 20, 2) for a in range(1 - b, b) if gcd(b, a) == 1]
+    small = [normalize_input(b, a) for b in range(3, 20, 2) for a in range(1, b) if gcd(b, a) == 1]
+    huge = [normalize_input(b, a) for n in (10**16, 10**300) for b, a in _n_family(n)]
     uniqueness = check_uniqueness(enumerate_even_cfs(4, 6))
-    return [uniqueness, random_word_dictionary_check(200, 1), unit_rewrite_check(forms)]
+    return [
+        uniqueness,
+        random_word_dictionary_check(200, 1),
+        unit_rewrite_check([form for pair in small for form in pair]),
+        residue_pair_check(small + huge),
+    ]

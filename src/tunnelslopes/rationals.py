@@ -55,16 +55,18 @@ class _Record:
     their fields are, and never equal to another class's; the hash is that of
     the field tuple; the repr is ``Name(field=value, ...)``; assigning or
     deleting an attribute raises AttributeError; ``__match_args__`` names the
-    fields; and copies and pickles call the class with the field values.
+    fields; and copies and pickles call the class with the field values. A
+    subclass that stores its fields in another form names them in its own
+    ``__match_args__`` and overrides ``__eq__`` and ``__reduce__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -75,7 +77,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -135,8 +137,9 @@ class ResidueSlope(_Record):
 
     def __init__(self, value: ProjectiveRational):
         if value is not INFINITY:
-            value = Fraction(value)
-            if not 0 <= value < 1:
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            if not 0 <= value.numerator < value.denominator:
                 raise ValueError(f"residue representative {value} is outside [0, 1)")
         _set(self, "value", value)
 

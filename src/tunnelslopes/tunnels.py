@@ -11,10 +11,9 @@ may be even, in which case the tunnel belongs to a two-component link.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
-from operator import neg
+from itertools import groupby
 
 from .rationals import INFINITY, ResidueSlope, _excerpt, _Record, _set, render, residue_of
 
@@ -60,38 +59,94 @@ class TunnelClass(_Record):
 class TunnelParams(_Record):
     """The cabling parameters (m0, m1, ..., mn; s2, ..., sn) of a tunnel.
 
-    Slopes become ``Fraction``s and binaries ``int``s; a tuple that already
-    holds only those is kept as it is, with its elements shared.
+    Stored as m0 and runs: ``slope_runs`` holds the maximal runs of equal
+    consecutive slopes as (Fraction, count), and ``binary_runs`` those of the
+    bits as (int, count). The constructor turns slopes into ``Fraction``s and
+    bits into ``int``s, keeping an element that already has that type, and
+    each run keeps its first element. Equality, copies and pickles go by the
+    runs, so they cost O(runs) however many slopes the runs stand for.
+    ``slopes`` and ``binaries`` are written out from the runs on every read,
+    one shared object per run, at O(n) cost, and so are the hash and the repr
+    (those of a frozen dataclass of the fields m0, slopes and binaries) and
+    ``to_export``; a run too long to write out raises ``MemoryError``.
     """
 
-    __slots__ = ("m0", "slopes", "binaries")
+    __slots__ = ("m0", "slope_runs", "binary_runs")
+    __match_args__ = ("m0", "slopes", "binaries")
 
     def __init__(
         self, m0: ResidueSlope, slopes: tuple[Fraction, ...] = (), binaries: tuple[int, ...] = ()
     ):
         _set(self, "m0", m0)
-        _set(self, "slopes", _exact_tuple(slopes, Fraction))
-        _set(self, "binaries", _exact_tuple(binaries, int))
+        _set(self, "slope_runs", _runs(slopes, Fraction))
+        _set(self, "binary_runs", _runs(binaries, int))
+
+    @property
+    def slopes(self) -> tuple[Fraction, ...]:
+        return tuple(_written(self.slope_runs))
+
+    @property
+    def binaries(self) -> tuple[int, ...]:
+        return tuple(_written(self.binary_runs))
+
+    def _stored(self) -> tuple:
+        return self.m0, self.slope_runs, self.binary_runs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._stored() == other._stored()
+        return NotImplemented
+
+    __hash__ = _Record.__hash__
+
+    def __reduce__(self):
+        return _of_runs, self._stored()
 
 
-def _exact_tuple(values, kind) -> tuple:
-    """values as a tuple of exactly type kind, converting only what is not."""
-    if type(values) is tuple and {*map(type, values)} <= {kind}:
-        return values
-    return tuple(v if type(v) is kind else kind(v) for v in values)
+def _of_runs(m0: ResidueSlope, slope_runs: tuple, binary_runs: tuple) -> TunnelParams:
+    """The tuple of m0 and runs that are already maximal and of exact types."""
+    t = object.__new__(TunnelParams)
+    _set(t, "m0", m0)
+    _set(t, "slope_runs", slope_runs)
+    _set(t, "binary_runs", binary_runs)
+    return t
+
+
+def _runs(values, kind) -> tuple:
+    """The maximal runs (value, count) of equal consecutive values, each
+    value of exactly type kind: an element of another type is converted."""
+    exact = (v if type(v) is kind else kind(v) for v in values)
+    return tuple([(value, len(list(run))) for value, run in groupby(exact)])
+
+
+def _written(runs) -> list:
+    """The values that runs (value, count) stand for, one shared object per run."""
+    values: list = []
+    try:
+        for value, count in runs:
+            values += [value] * count
+    except OverflowError:
+        # A run longer than any list can be; a shorter one that does not fit
+        # raises MemoryError itself.
+        raise MemoryError(f"a run of {count} equal values cannot be written out") from None
+    return values
+
+
+def _length(runs) -> int:
+    return sum([count for _, count in runs])
 
 
 def validate(t: TunnelParams) -> TunnelClass:
     """Check every tuple rule and classify the tunnel."""
-    n = len(t.slopes)
-    for s in t.binaries:
+    slope_runs, binary_runs = t.slope_runs, t.binary_runs
+    n, bits = _length(slope_runs), _length(binary_runs)
+    for s, _ in binary_runs:
         if s not in (0, 1):
             raise ValidationError("binary-values", f"binaries must be 0 or 1, got {s}")
     expected = max(n - 1, 0)
-    if len(t.binaries) != expected:
+    if bits != expected:
         raise ValidationError(
-            "binaries-length",
-            f"{n} cabling slopes need {expected} binaries, got {len(t.binaries)}",
+            "binaries-length", f"{n} cabling slopes need {expected} binaries, got {bits}"
         )
     if t.m0.is_infinite:
         if n:
@@ -115,21 +170,24 @@ def validate(t: TunnelParams) -> TunnelClass:
             "m0-denominator-parity",
             f"m0 = {t.m0} has even denominator, so its cabling ends the sequence",
         )
-    for i, m in enumerate(t.slopes[:-1], start=1):
-        if m.numerator % 2 == 0:
+    i = 1  # the index of the run's first slope
+    for m, count in slope_runs:
+        # Only the final slope mn may have an even numerator.
+        if m.numerator % 2 == 0 and i < n:
             raise ValidationError(
                 "intermediate-numerator-parity",
                 f"m{i} = {render(m)} has even numerator before the final cabling",
             )
-    target = Target.KNOT if t.slopes[-1].numerator % 2 == 1 else Target.LINK
-    kind = TunnelKind.SEMISIMPLE if all(s == 0 for s in t.binaries) else TunnelKind.REGULAR
+        i += count
+    target = Target.KNOT if slope_runs[-1][0].numerator % 2 == 1 else Target.LINK
+    kind = TunnelKind.SEMISIMPLE if all(s == 0 for s, _ in binary_runs) else TunnelKind.REGULAR
     return TunnelClass(kind, target)
 
 
 def mirror(t: TunnelParams) -> TunnelParams:
-    """The parameters of the mirror-image tunnel: every slope negated. A run
-    of one shared slope object is negated once and stays shared."""
-    return TunnelParams(t.m0.negated(), tuple(_per_run(neg, t.slopes)), t.binaries)
+    """The parameters of the mirror-image tunnel: every slope negated, one
+    negation per run."""
+    return _of_runs(t.m0.negated(), tuple([(-m, count) for m, count in t.slope_runs]), t.binary_runs)
 
 
 def is_amphichiral(t: TunnelParams) -> bool:
@@ -148,32 +206,48 @@ def _linking_number(t: TunnelParams, cls: TunnelClass) -> int:
         raise ValueError("linking number is defined only for link tunnels")
     if t.m0.is_infinite:
         return 0
-    if not t.slopes:
+    if not t.slope_runs:
         return t.m0.denominator // 2
-    return abs(t.slopes[-1].numerator) // 2
+    return abs(t.slope_runs[-1][0].numerator) // 2
 
 
-def _per_run(f: Callable, slopes: tuple[Fraction, ...]) -> Iterator:
-    """f of each slope, computed once for a run of one shared object."""
-    last = value = None
-    for m in slopes:
-        if m is not last:
-            last, value = m, f(m)
-        yield value
+# A long run of a repeated text is joined from one shared block of this many
+# copies, so that no piece is as long as the run and building the text takes
+# little more memory than the text itself.
+_BLOCK = 1024
+
+
+def _joined(pieces) -> str:
+    """The concatenation of text * count over pieces (text, count); a text
+    too long for any string raises MemoryError."""
+    parts = []
+    try:
+        for text, count in pieces:
+            if count > _BLOCK:
+                blocks, count = divmod(count, _BLOCK)
+                parts += [text * _BLOCK] * blocks
+            parts.append(text * count)
+        return "".join(parts)
+    except OverflowError:
+        raise MemoryError("the text is too long to write out") from None
+
+
+def _slope_pieces(t: TunnelParams) -> list:
+    return [(str(t.m0), 1), *[(", " + render(m), count) for m, count in t.slope_runs]]
 
 
 def _slope_text(t: TunnelParams) -> str:
     """'[ p/q ], m1, ..., mn': the text of ``serialize`` before the bits."""
-    return ", ".join([str(t.m0), *_per_run(render, t.slopes)])
+    return _joined(_slope_pieces(t))
 
 
 def serialize(t: TunnelParams) -> str:
     """Stable text form: '[ p/q ], m1, ..., mn ; s2...sn' (bits only when n >= 2)."""
-    text = _slope_text(t)
-    if len(t.slopes) >= 2:
-        # "%d" writes an int as str does, for all of the bits in one step.
-        text += " ; " + ("%d" * len(t.binaries)) % t.binaries
-    return text
+    pieces = _slope_pieces(t)
+    if _length(t.slope_runs) >= 2:
+        pieces.append((" ; ", 1))
+        pieces += [(str(s), count) for s, count in t.binary_runs]
+    return _joined(pieces)
 
 
 _RESIDUE_RE = re.compile(r"\s*\[\s*(-?\d+)(?:\s*/\s*(-?\d+))?\s*\]")
@@ -197,31 +271,38 @@ def parse(text: str) -> TunnelParams:
     rest = text[match.end():]
     offset = match.end()
     slope_part, semicolon, bits_part = rest.partition(";")
-    slopes = []
+    runs: list = []
     stripped = slope_part.strip()
     if stripped:
         if not stripped.startswith(","):
             raise ParseError("expected ',' before the cabling slopes", offset)
         cursor = offset + slope_part.index(",") + 1
-        for token in stripped[1:].split(","):
+        # A stretch of equal token texts is read once, as one run; the cursor
+        # is at the stretch's first token, where any error in it stands.
+        for token, stretch in groupby(stripped[1:].split(",")):
             cleaned = token.strip()
             if not cleaned:
                 raise ParseError("empty slope entry", cursor)
             try:
-                slopes.append(Fraction(cleaned))
+                m = Fraction(cleaned)
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
-            cursor += len(token) + 1
-    binaries: tuple[int, ...] = ()
+            count = len(list(stretch))
+            if runs and runs[-1][0] == m:  # an equal value written another way
+                runs[-1] = (runs[-1][0], runs[-1][1] + count)
+            else:
+                runs.append((m, count))
+            cursor += count * (len(token) + 1)
+    binary_runs: tuple = ()
     if semicolon:
         bits = bits_part.strip()
         bit_pos = text.index(";", offset)
         if not bits:
             raise ParseError("missing binary string after ';'", bit_pos)
-        if any(c not in "01" for c in bits):
+        if not {*bits} <= {"0", "1"}:
             raise ParseError(f"binary string {_excerpt(bits)} must use only 0 and 1", bit_pos)
-        binaries = tuple(int(c) for c in bits)
-    return TunnelParams(m0, tuple(slopes), binaries)
+        binary_runs = tuple([(int(bit), len(list(run))) for bit, run in groupby(bits)])
+    return _of_runs(m0, tuple(runs), binary_runs)
 
 
 def to_export(t: TunnelParams) -> dict[str, object]:
@@ -235,8 +316,8 @@ def _export(t: TunnelParams, cls: TunnelClass) -> dict[str, object]:
     """``to_export`` of t, whose class ``validate`` gave as cls."""
     doc: dict[str, object] = {
         "m0": render(t.m0.value),
-        "slopes": list(_per_run(render, t.slopes)),
-        "binaries": list(t.binaries),
+        "slopes": _written([(render(m), count) for m, count in t.slope_runs]),
+        "binaries": _written(t.binary_runs),
         "class": cls.kind.value,
         "target": cls.target.value,
     }

@@ -13,9 +13,9 @@ a run of pairs (2s, -2s) gives, has equal boundary cablings and is one run
 too), and from it the cabling slope, 2 + 1/k = (2k + 1)/k or
 -2 + 1/k = (1 - 2k)/k depending on a strand parity that the final lower entry
 controls. One walk serves both ``cabling_steps``, which records each cabling
-as a ``CablingStep``, and ``two_bridge_slopes``, which builds each slope once,
-in lowest terms, and lets a run of equal consecutive slopes share one
-``Fraction``. The first cabling instead contributes the residue k1/(2k1 + 1)
+as a ``CablingStep``, and ``two_bridge_slopes``, which merges the walk's
+items into maximal runs of equal slopes and builds each run's slope once, in
+lowest terms. The first cabling instead contributes the residue k1/(2k1 + 1)
 mod 1, where k1 is the final lower entry, less one when the last a entry is
 negative. All of the selection bits are zero for these tunnels.
 
@@ -23,8 +23,9 @@ The walk reads the runs of equal blocks (ai, bi) that ``EvenCF`` stores,
 never its written-out entries: a run of n blocks gives it at most two keys,
 n - 1 blocks whose lower neighbour is the same block and one whose lower
 neighbour ends the run below. So a form costs memory and Python steps per
-run, not per entry or per twist; only the tuples that ``two_bridge_slopes``
-and ``cabling_steps`` return grow with the twists. This module holds only
+run, not per entry or per twist, and so does the ``TunnelParams`` that
+``two_bridge_slopes`` returns, which stores runs; only the steps that
+``cabling_steps`` returns grow with the twists. This module holds only
 that path: ``make_form`` is the one validation of b/a, ``_first_residue``
 and ``_walk`` the one place a zero twist count is rejected, and the records
 are not checked again.
@@ -39,8 +40,8 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import EvenCF, even_cf_expand
-from .rationals import ResidueSlope, _Record, _set, residue_of
-from .tunnels import TunnelParams
+from .rationals import ResidueSlope, _Record, _set
+from .tunnels import TunnelParams, _of_runs
 
 
 class LinkInvariantError(ValueError):
@@ -130,7 +131,9 @@ def _first_residue(form: TwoBridgeForm) -> ResidueSlope:
     k_first = b_last - (a_last < 0)
     if k_first == 0:
         raise CablingContradictionError("first cabling has twist count 0")
-    return residue_of(Fraction(k_first, 2 * k_first + 1))
+    # k1/d mod 1 is (k1 mod d)/d for either sign of d, as Python's % takes d's sign.
+    d = 2 * k_first + 1
+    return ResidueSlope(Fraction(k_first % d, d))
 
 
 def _walk(form: TwoBridgeForm) -> Iterator[tuple[int, int, int, bool]]:
@@ -201,22 +204,16 @@ def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep,
 
 
 def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
-    """The full cabling-parameter tuple of the knot's depth-one tunnel; a run
-    of equal consecutive slopes shares one Fraction."""
+    """The full cabling-parameter tuple of the knot's depth-one tunnel, built
+    from the walk's items merged into maximal runs of equal slopes, one
+    Fraction per run, so it costs O(runs) however many cablings there are."""
     m0 = _first_residue(form)
-    slopes: list[Fraction] = []
-    last_k, last_even, slope = 0, False, None
+    runs: list = []
     for count, _, k, even in _walk(form):
-        if k != last_k or even is not last_even:
-            last_k, last_even, slope = k, even, _cabling_slope(k, even)
-        try:
-            slopes += [slope] * count
-        except OverflowError:
-            # A run longer than any list can be, as a few runs of (2s, -2s)
-            # can stand for; a shorter one that does not fit raises
-            # MemoryError itself.
-            raise MemoryError(f"a run of {count} equal slopes cannot be written out") from None
-    # Built from a list, the tuple is allocated at its size. A tuple built
-    # from a generator is resized from 10 slots, and when freed it lands on
-    # a free list that only a full garbage collection empties.
-    return TunnelParams(m0, tuple(slopes), (0,) * max(len(slopes) - 1, 0))
+        if runs and runs[-1][1] == k and runs[-1][2] is even:
+            runs[-1][0] += count
+        else:
+            runs.append([count, k, even])
+    slopes = tuple([(_cabling_slope(k, even), count) for count, k, even in runs])
+    n = sum([count for count, _, _ in runs])
+    return _of_runs(m0, slopes, ((0, n - 1),) if n > 1 else ())

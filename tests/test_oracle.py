@@ -11,10 +11,12 @@ from tunnelslopes import (
     check_uniqueness,
     enumerate_even_cfs,
     even_cf_expand,
+    mirror,
+    normalize_input,
     random_word_dictionary_check,
     selfcheck,
 )
-from tunnelslopes.oracle import _eval_raw
+from tunnelslopes.oracle import _eval_raw, _n_family, residue_pair_check
 
 from test_contfrac import reference_fold
 
@@ -145,7 +147,7 @@ class TestDictionaryCheck:
 
 def test_selfcheck_is_clean():
     reports = selfcheck()
-    assert len(reports) == 3
+    assert len(reports) == 4
     assert all(r.ok for r in reports)
     for report in reports:
         assert "ok" in report.summary()
@@ -156,4 +158,24 @@ def test_selfcheck_golden_reports():
         "even-cf uniqueness: ok (3109 checked)",
         "cf/matrix dictionary: ok (200 checked)",
         "2-bridge unit rewrite: ok (164 checked)",
+        "2-bridge residue pair: ok (94 checked)",
     ]
+
+
+class TestResiduePairCheck:
+    def test_huge_families_cost_a_few_runs(self):
+        pairs = [normalize_input(b, a) for n in (10**16, 10**300) for b, a in _n_family(n)]
+        report = residue_pair_check(pairs)
+        assert (report.ok, report.checked) == (True, 12)
+
+    def test_differing_tuples_are_reported(self, monkeypatch):
+        # Mirroring the positive residue's tuple changes m0 and every slope.
+        slopes = tunnelslopes.oracle.two_bridge_slopes
+        monkeypatch.setattr(
+            tunnelslopes.oracle, "two_bridge_slopes", lambda f: mirror(slopes(f)) if f.a > 0 else slopes(f)
+        )
+        report = residue_pair_check([normalize_input(33, 19), normalize_input(7, 3)])
+        assert report.violations == (
+            "33/19 and 33/-14 give different tuples",
+            "7/3 and 7/-4 give different tuples",
+        )

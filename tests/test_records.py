@@ -20,7 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 import tunnelslopes as ts
 from tunnelslopes import INFINITY, ProjectiveRational, Target, TunnelKind
-from tunnelslopes.tunnels import _exact_tuple
+
+
+def exact_tuple(values, kind):
+    """values as a tuple of exactly type kind, converting what is not."""
+    return tuple(v if type(v) is kind else kind(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,8 @@ class TunnelParams:
     binaries: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "slopes", _exact_tuple(self.slopes, Fraction))
-        object.__setattr__(self, "binaries", _exact_tuple(self.binaries, int))
+        object.__setattr__(self, "slopes", exact_tuple(self.slopes, Fraction))
+        object.__setattr__(self, "binaries", exact_tuple(self.binaries, int))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tunnelslopes import (
     INFINITY,
     ParseError,
     ResidueSlope,
     Target,
+    TunnelClass,
     TunnelKind,
     TunnelParams,
     ValidationError,
@@ -24,7 +27,9 @@ from tunnelslopes import (
     two_bridge_slopes,
     validate,
 )
+import tunnelslopes.cli
 import tunnelslopes.tunnels
+from tunnelslopes.rationals import _excerpt
 
 
 def params(m0, slopes=(), binaries=()):
@@ -40,10 +45,16 @@ TREFOILISH = params(Fraction(1, 3), (3, Fraction(5, 3)), (0,))
 
 class TestTunnelParams:
     def test_exact_tuples_are_kept(self):
-        slopes, binaries = (Fraction(3), Fraction(-5, 3)), (0,)
+        # The tuples are stored as runs; each run keeps its first element,
+        # which the written-out tuple repeats.
+        three, five_thirds = Fraction(3), Fraction(-5, 3)
+        slopes, binaries = (three, Fraction(3), five_thirds, five_thirds), (0, 0, 1)
         t = TunnelParams(residue_of(Fraction(1, 3)), slopes, binaries)
-        assert t.slopes is slopes
-        assert t.binaries is binaries
+        assert t.slope_runs == ((three, 2), (five_thirds, 2))
+        assert t.slopes == slopes and [type(m) for m in t.slopes] == [Fraction] * 4
+        assert [m is three for m in t.slopes[:2]] + [m is five_thirds for m in t.slopes[2:]] == [True] * 4
+        assert t.binary_runs == ((0, 2), (1, 1))
+        assert t.binaries == binaries and [type(s) for s in t.binaries] == [int] * 3
 
     def test_other_values_are_converted(self):
         class Tagged(Fraction):
@@ -54,6 +65,19 @@ class TestTunnelParams:
         assert [type(m) for m in t.slopes] == [Fraction] * 3
         assert t.binaries == (0, 1)
         assert [type(s) for s in t.binaries] == [int, int]
+
+    def test_a_huge_run_compares_copies_and_pickles_by_its_runs(self):
+        runs = ((Fraction(3), 10**15),), ((0, 10**15 - 1),)
+        t = tunnelslopes.tunnels._of_runs(residue_of(Fraction(1, 3)), *runs)
+        twins = [pickle.loads(pickle.dumps(t, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(t), copy.deepcopy(t)]:
+            assert type(twin) is TunnelParams and (twin.slope_runs, twin.binary_runs) == runs
+            assert twin == t and is_amphichiral(twin) is False
+        assert validate(t) == TunnelClass(TunnelKind.SEMISIMPLE, Target.KNOT)
+        # The reads that write the tuple out cannot hold it.
+        for read in (lambda: t.slopes, lambda: hash(t), lambda: repr(t), lambda: to_export(t)):
+            with pytest.raises(MemoryError):
+                read()
 
     def test_one_inexact_element_converts_the_tuple(self):
         slopes, binaries = (Fraction(3), 5, Fraction(7, 3)), (0, True)
@@ -312,3 +336,220 @@ def test_serialize_writes_any_bits_as_str_does(slopes, bits):
 @given(valid_tunnels())
 def test_serialize_parse_round_trip(t):
     assert parse(serialize(t)) == t
+
+
+# The per-element readers and writers that TunnelParams' runs replaced, kept
+# as the references: each reads or writes every slope and bit on its own.
+
+
+def reference_parse(text):
+    """parse as it built one Fraction per slope token and one int per bit."""
+    match = tunnelslopes.tunnels._RESIDUE_RE.match(text)
+    if not match:
+        raise ParseError("expected a residue of the form '[ p/q ]'", 0)
+    parts = []
+    for g in (1, 2):
+        try:
+            parts.append(int(match.group(g) or 1))
+        except ValueError:
+            raise ParseError(f"bad residue {_excerpt(match.group(g))}", match.start(g)) from None
+    num, den = parts
+    if num == den == 0:
+        raise ParseError("residue 0/0 is degenerate", match.start(1))
+    m0 = residue_of(INFINITY if den == 0 else Fraction(num, den))
+    rest = text[match.end():]
+    offset = match.end()
+    slope_part, semicolon, bits_part = rest.partition(";")
+    slopes = []
+    stripped = slope_part.strip()
+    if stripped:
+        if not stripped.startswith(","):
+            raise ParseError("expected ',' before the cabling slopes", offset)
+        cursor = offset + slope_part.index(",") + 1
+        for token in stripped[1:].split(","):
+            cleaned = token.strip()
+            if not cleaned:
+                raise ParseError("empty slope entry", cursor)
+            try:
+                slopes.append(Fraction(cleaned))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
+            cursor += len(token) + 1
+    binaries = ()
+    if semicolon:
+        bits = bits_part.strip()
+        bit_pos = text.index(";", offset)
+        if not bits:
+            raise ParseError("missing binary string after ';'", bit_pos)
+        if any(c not in "01" for c in bits):
+            raise ParseError(f"binary string {_excerpt(bits)} must use only 0 and 1", bit_pos)
+        binaries = tuple(int(c) for c in bits)
+    return TunnelParams(m0, tuple(slopes), binaries)
+
+
+def reference_validate(t):
+    """validate as it read the written-out slopes and bits one by one."""
+    slopes, binaries = t.slopes, t.binaries
+    n = len(slopes)
+    for s in binaries:
+        if s not in (0, 1):
+            raise ValidationError("binary-values", f"binaries must be 0 or 1, got {s}")
+    expected = max(n - 1, 0)
+    if len(binaries) != expected:
+        raise ValidationError(
+            "binaries-length", f"{n} cabling slopes need {expected} binaries, got {len(binaries)}"
+        )
+    if t.m0.is_infinite:
+        if n:
+            raise ValidationError("trivial-link-arity", "the infinite residue admits no further cablings")
+        return TunnelClass(TunnelKind.TRIVIAL_LINK, Target.LINK)
+    if t.m0.value == 0:
+        if n:
+            raise ValidationError("primitive-arity", "the zero residue admits no further cablings")
+        return TunnelClass(TunnelKind.TRIVIAL_KNOT, Target.KNOT)
+    q0 = t.m0.denominator
+    if n == 0:
+        if q0 % 2 == 1:
+            return TunnelClass(TunnelKind.SIMPLE_KNOT, Target.KNOT)
+        return TunnelClass(TunnelKind.SIMPLE_LINK, Target.LINK)
+    if q0 % 2 == 0:
+        raise ValidationError(
+            "m0-denominator-parity", f"m0 = {t.m0} has even denominator, so its cabling ends the sequence"
+        )
+    for i, m in enumerate(slopes[:-1], start=1):
+        if m.numerator % 2 == 0:
+            raise ValidationError(
+                "intermediate-numerator-parity",
+                f"m{i} = {render(m)} has even numerator before the final cabling",
+            )
+    target = Target.KNOT if slopes[-1].numerator % 2 == 1 else Target.LINK
+    kind = TunnelKind.SEMISIMPLE if all(s == 0 for s in binaries) else TunnelKind.REGULAR
+    return TunnelClass(kind, target)
+
+
+def reference_export(t):
+    """to_export as it rendered every written-out slope."""
+    cls = reference_validate(t)
+    doc = {
+        "m0": render(t.m0.value),
+        "slopes": [render(m) for m in t.slopes],
+        "binaries": list(t.binaries),
+        "class": cls.kind.value,
+        "target": cls.target.value,
+    }
+    if cls.target is Target.LINK:
+        if t.m0.is_infinite:
+            doc["linking_number"] = 0
+        elif not t.slopes:
+            doc["linking_number"] = t.m0.denominator // 2
+        else:
+            doc["linking_number"] = abs(t.slopes[-1].numerator) // 2
+    return doc
+
+
+def outcome(f, *args):
+    """What f(*args) gives: ("value", result), or the error's class, text,
+    and its rule or position."""
+    try:
+        return "value", f(*args)
+    except (ValidationError, ParseError) as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "rule", None), getattr(exc, "position", None)
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def assert_matches_the_references(t):
+    """validate, mirror, is_amphichiral, serialize, to_export and parse of t
+    against the per-element references, results and errors alike."""
+    assert outcome(validate, t) == outcome(reference_validate, t)
+    assert mirror(t) == reference_mirror(t)
+    assert serialize(t) == reference_serialize(t)
+    assert serialize(mirror(t)) == reference_serialize(reference_mirror(t))
+    assert outcome(to_export, t) == outcome(reference_export, t)
+    text = serialize(t)
+    assert outcome(parse, text) == outcome(reference_parse, text)
+    assert is_amphichiral(t) == (reference_mirror(t) == t)
+
+
+# Slope texts with runs of equal tokens, equal values written apart ("3",
+# "6/2", " 3"), tokens that are bad or empty, and even numerators.
+TOKENS = ["3", " 3", "3 ", "6/2", "-3", "5/3", "10/6", "-5/3", "2", "4/3", "0", "1/0", "x", "", " ", "3/"]
+RESIDUES = ["[ 1/3 ]", "[1/3]", " [ 2/5 ]", "[ 1/2 ]", "[ 0 ]", "[ 1/0 ]", "[ 7/3 ]", "[ 0/0 ]", "[ x ]", "1/3"]
+
+
+def in_runs(values, max_runs):
+    """Lists whose elements come in runs of one to four equal values."""
+    runs = st.lists(st.tuples(values, st.integers(1, 4)), max_size=max_runs)
+    return runs.map(lambda runs: [v for v, n in runs for _ in range(n)])
+
+
+@st.composite
+def tuple_texts(draw):
+    text = draw(st.sampled_from(RESIDUES))
+    tokens = draw(in_runs(st.sampled_from(TOKENS), 5))
+    if tokens:
+        text += draw(st.sampled_from([",", " ,", ", ", " "])) + ",".join(tokens)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from([";", " ; ", " ;"])) + draw(st.text("01 2", max_size=6))
+    return text
+
+
+@given(tuple_texts())
+@settings(max_examples=500)
+def test_parse_matches_the_reference(text):
+    got, want = outcome(parse, text), outcome(reference_parse, text)
+    assert got == want
+    if got[0] == "value":
+        assert_matches_the_references(got[1])
+
+
+@st.composite
+def run_tuples(draw):
+    """Tuples of runs of slopes and bits, valid or not."""
+    m0 = draw(st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(0), INFINITY, Fraction(4, 7)]))
+    slopes = draw(in_runs(st.sampled_from([3, Fraction(5, 3), Fraction(-5, 3), 2, Fraction(4, 3), 0]), 4))
+    bits = draw(in_runs(st.sampled_from([0, 1, 1, 2, -1]), 3))
+    if draw(st.booleans()):
+        bits = [0] * max(len(slopes) - 1, 0)
+    return params(m0, slopes, bits)
+
+
+@given(run_tuples())
+@settings(max_examples=500)
+def test_run_tuples_match_the_references(t):
+    assert_matches_the_references(t)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[ 1/3 ], 3, 5/3 ; 0",
+        "[ 1/2 ]",
+        "[ 1/0 ]",
+        "[ 0 ]",
+        "[ 1/3 ], 3, 4/5 ; 1",
+        "[ 1/3 ], 3, 3, 3, -7/4 ; 101",
+        "[ 2/5 ], " + ", ".join(["-1"] * 40) + " ; " + "0" * 39,
+        "[ 2/3 ], -3/2, 3, 3, 3, 3, 3, 7/3, 3, 3, 3, 3, 49/24",
+        "[ 13/27 ], 3, 3, 3, 5/3, 3, 7/3, 15/8, -5/3, -1, -3",
+        "[ 5/9 ], 11/5, 21/10, -23/11, -131/66",
+    ],
+)
+def test_golden_lines_match_the_references(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+    assert_matches_the_references(parse(text))
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("[ 1/3 ], 3, 3, 0 ; 00", "Semisimple, linking number 0 (final slope 0: accepted syntactically)"),
+        ("[ 1/3 ], 0", "Semisimple, linking number 0 (final slope 0: accepted syntactically)"),
+        ("[ 1/3 ], 3, 0/5, 0 ; 00", "error: intermediate-numerator-parity: m2 = 0 has even numerator before the final cabling"),
+    ],
+)
+def test_classify_reads_the_final_slope_off_the_last_run(capsys, text, line):
+    # A run of zeros is the final slope only when it has one slope.
+    code = tunnelslopes.cli.main(["classify", text])
+    out, err = capsys.readouterr()
+    assert (code, (out or err).rstrip("\n")) == (0 if out else 1, line)

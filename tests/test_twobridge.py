@@ -29,6 +29,7 @@ from tunnelslopes import (
     cf_eval,
     even_cf_expand,
     make_form,
+    mirror,
     normalize_input,
     residue_of,
     serialize,
@@ -42,7 +43,7 @@ from tunnelslopes.oracle import _unit_word, unit_rewrite, unit_rewrite_check
 from tunnelslopes.twobridge import _first_residue, _walk
 
 from test_contfrac import reference_even_cf, reference_entry_writer, run_families
-from test_tunnels import reference_serialize
+from test_tunnels import assert_matches_the_references, reference_serialize
 
 
 KNOWN_SEQUENCES = [
@@ -678,6 +679,51 @@ def test_form_of_a_huge_run_stays_small():
     walk = list(islice(_walk(form), 9))
     assert len(walk) <= 8
     assert sum(count for count, _, _, _ in walk) == 25 * 10**14 - 1
+
+
+def traced_peak(f, *args):
+    """(f(*args), the peak of the memory that tracemalloc saw it allocate)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_two_bridge_tuple_memory_follows_the_runs():
+    # 2000001/1999999 has 499 999 slopes in a few runs.
+    form = make_form(2000001, 1999999)
+    two_bridge_slopes(make_form(33, 19))
+    t, peak = traced_peak(two_bridge_slopes, form)
+    assert peak < 64 * 1024
+    assert len(t.slope_runs) < 10 and sum(n for _, n in t.slope_runs) == 499_999
+    text, peak = traced_peak(serialize, t)
+    assert len(text) == 2_000_005
+    assert peak < 1.5 * len(text)
+
+
+def test_huge_tuple_is_checked_per_run():
+    # (N + 1)/(N - 1) with N = 10^16: about 2.5 * 10^15 slopes in a few runs.
+    form = make_form(10**16 + 1, 10**16 - 1)
+    t, peak = traced_peak(two_bridge_slopes, form)
+    assert peak < 4096
+    assert sum(n for _, n in t.slope_runs) == 25 * 10**14 - 1
+    (cls, mirrored, equal), peak = traced_peak(lambda: (validate(t), mirror(t), mirror(mirror(t)) == t))
+    assert peak < 4096
+    assert (cls.kind, cls.target, equal) == (TunnelKind.SEMISIMPLE, Target.KNOT, True)
+    assert mirrored != t and two_bridge_slopes(normalize_input(10**16 + 1, 10**16 - 1)[1]) == t
+    for read in (lambda: t.slopes, lambda: t.binaries, lambda: serialize(t)):
+        with pytest.raises(MemoryError):
+            read()
+
+
+def test_pool_tuples_match_the_per_element_references():
+    for item in slopes_2bridge_pools():
+        form = normalize_input(*item)[0]
+        assert_matches_the_references(two_bridge_slopes(form))
 
 
 CAPPED_CABLING_STEPS = """
