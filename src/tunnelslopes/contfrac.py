@@ -61,6 +61,7 @@ from .rationals import (
     _quotient,
     _Record,
     _set,
+    _written,
 )
 
 
@@ -141,25 +142,13 @@ class EvenCF(_Record):
     def __init__(self, runs: tuple):
         _set(self, "runs", runs)
 
-    def _written(self, block) -> list:
-        """The concatenation of block(a, b) * count over the runs."""
-        word: list = []
-        try:
-            for a, b, n in self.runs:
-                word += block(a, b) * n
-        except OverflowError:
-            # A run longer than any list can be; a shorter one that does not
-            # fit raises MemoryError itself.
-            raise MemoryError(f"a run of {n} blocks cannot be written out") from None
-        return word
-
     @property
     def a_entries(self) -> tuple[int, ...]:
-        return tuple(self._written(lambda a, b: (a,)))
+        return tuple(_written([((a,), n) for a, _, n in self.runs], "blocks"))
 
     @property
     def b_entries(self) -> tuple[int, ...]:
-        return tuple(self._written(lambda a, b: () if b is None else (b,)))
+        return tuple(_written([(() if b is None else (b,), n) for _, b, n in self.runs], "blocks"))
 
     @property
     def has_final_b(self) -> bool:
@@ -167,7 +156,8 @@ class EvenCF(_Record):
 
     def entries(self) -> tuple[int, ...]:
         """The raw word (2a1, 2b1, ..., 2ak[, bk])."""
-        word = self._written(lambda a, b: (2 * a, 2 * b) if b is not None else (2 * a,))
+        blocks = [((2 * a, 2 * b) if b is not None else (2 * a,), n) for a, b, n in self.runs]
+        word = _written(blocks, "blocks")
         if self.has_final_b:
             word[-1] = self.runs[-1][1]  # the closing bk is stored whole
         return tuple(word)

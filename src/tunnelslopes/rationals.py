@@ -8,6 +8,8 @@ here is safe to share between threads.
 
 from __future__ import annotations
 
+import os
+import sys
 from fractions import Fraction
 
 
@@ -90,6 +92,65 @@ class _Record:
         return type(self), self._values()
 
 
+def _memory() -> int:
+    """The bytes of memory this machine has, or sys.maxsize where that is unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
+# Records store runs (part, count) that can stand for more items than memory
+# holds. A write-out with a run of more than _BLOCK copies is built only once
+# it is known to fit in the machine's memory: a larger one could only fail,
+# and where the system grants memory it cannot back, fail by having the
+# process killed. Short runs, at most _BLOCK copies of the pieces a caller
+# holds, are written without the check.
+_MEMORY = _memory()
+_BLOCK = 1024
+
+
+def _fits(pieces: list, what: str, item_bytes: int) -> None:
+    """Raise MemoryError, naming the run of what at which it passes, when
+    part * count over pieces (part, count), at item_bytes per item, would
+    take more than the machine's memory."""
+    size = 0
+    for part, count in pieces:
+        size += len(part) * count * item_bytes
+        if size > _MEMORY:
+            raise MemoryError(f"a run of {count} {what} cannot be written out")
+
+
+def _written(pieces: list, what: str = "equal values") -> list:
+    """The items of part * count over pieces (part, count) of tuples, as a
+    list; an item repeated by a run is one shared object."""
+    values: list = []
+    unchecked = True
+    for part, count in pieces:
+        if count > _BLOCK and unchecked:
+            _fits(pieces, what, 8)
+            unchecked = False
+        values += part * count
+    return values
+
+
+def _written_text(pieces: list) -> str:
+    """text * count over pieces (text, count) of ASCII strs, joined. A long
+    run is joined from copies of one shared block of _BLOCK texts, so that
+    building the result takes little more memory than the result."""
+    parts = []
+    unchecked = True
+    for text, count in pieces:
+        if count > _BLOCK:
+            if unchecked:
+                _fits(pieces, "equal values", 1)
+                unchecked = False
+            blocks, count = divmod(count, _BLOCK)
+            parts += [text * _BLOCK] * blocks
+        parts.append(text * count)
+    return "".join(parts)
+
+
 def render(x) -> str:
     """Stable text form: integers bare, otherwise numerator/denominator.
 
@@ -137,8 +198,7 @@ class ResidueSlope(_Record):
 
     def __init__(self, value: ProjectiveRational):
         if value is not INFINITY:
-            if type(value) is not Fraction:
-                value = Fraction(value)
+            value = Fraction(value)
             if not 0 <= value.numerator < value.denominator:
                 raise ValueError(f"residue representative {value} is outside [0, 1)")
         _set(self, "value", value)

@@ -15,7 +15,17 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby
 
-from .rationals import INFINITY, ResidueSlope, _excerpt, _Record, _set, render, residue_of
+from .rationals import (
+    INFINITY,
+    ResidueSlope,
+    _excerpt,
+    _Record,
+    _set,
+    _written,
+    _written_text,
+    render,
+    residue_of,
+)
 
 
 class ValidationError(ValueError):
@@ -83,11 +93,11 @@ class TunnelParams(_Record):
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(_written(self.slope_runs))
+        return tuple(_values(self.slope_runs))
 
     @property
     def binaries(self) -> tuple[int, ...]:
-        return tuple(_written(self.binary_runs))
+        return tuple(_values(self.binary_runs))
 
     def _stored(self) -> tuple:
         return self.m0, self.slope_runs, self.binary_runs
@@ -119,17 +129,9 @@ def _runs(values, kind) -> tuple:
     return tuple([(value, len(list(run))) for value, run in groupby(exact)])
 
 
-def _written(runs) -> list:
+def _values(runs) -> list:
     """The values that runs (value, count) stand for, one shared object per run."""
-    values: list = []
-    try:
-        for value, count in runs:
-            values += [value] * count
-    except OverflowError:
-        # A run longer than any list can be; a shorter one that does not fit
-        # raises MemoryError itself.
-        raise MemoryError(f"a run of {count} equal values cannot be written out") from None
-    return values
+    return _written([((value,), count) for value, count in runs])
 
 
 def _length(runs) -> int:
@@ -211,34 +213,13 @@ def _linking_number(t: TunnelParams, cls: TunnelClass) -> int:
     return abs(t.slope_runs[-1][0].numerator) // 2
 
 
-# A long run of a repeated text is joined from one shared block of this many
-# copies, so that no piece is as long as the run and building the text takes
-# little more memory than the text itself.
-_BLOCK = 1024
-
-
-def _joined(pieces) -> str:
-    """The concatenation of text * count over pieces (text, count); a text
-    too long for any string raises MemoryError."""
-    parts = []
-    try:
-        for text, count in pieces:
-            if count > _BLOCK:
-                blocks, count = divmod(count, _BLOCK)
-                parts += [text * _BLOCK] * blocks
-            parts.append(text * count)
-        return "".join(parts)
-    except OverflowError:
-        raise MemoryError("the text is too long to write out") from None
-
-
 def _slope_pieces(t: TunnelParams) -> list:
     return [(str(t.m0), 1), *[(", " + render(m), count) for m, count in t.slope_runs]]
 
 
 def _slope_text(t: TunnelParams) -> str:
     """'[ p/q ], m1, ..., mn': the text of ``serialize`` before the bits."""
-    return _joined(_slope_pieces(t))
+    return _written_text(_slope_pieces(t))
 
 
 def serialize(t: TunnelParams) -> str:
@@ -247,7 +228,7 @@ def serialize(t: TunnelParams) -> str:
     if _length(t.slope_runs) >= 2:
         pieces.append((" ; ", 1))
         pieces += [(str(s), count) for s, count in t.binary_runs]
-    return _joined(pieces)
+    return _written_text(pieces)
 
 
 _RESIDUE_RE = re.compile(r"\s*\[\s*(-?\d+)(?:\s*/\s*(-?\d+))?\s*\]")
@@ -316,8 +297,8 @@ def _export(t: TunnelParams, cls: TunnelClass) -> dict[str, object]:
     """``to_export`` of t, whose class ``validate`` gave as cls."""
     doc: dict[str, object] = {
         "m0": render(t.m0.value),
-        "slopes": _written([(render(m), count) for m, count in t.slope_runs]),
-        "binaries": _written(t.binary_runs),
+        "slopes": _values([(render(m), count) for m, count in t.slope_runs]),
+        "binaries": _values(t.binary_runs),
         "class": cls.kind.value,
         "target": cls.target.value,
     }

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import EvenCF, even_cf_expand
-from .rationals import ResidueSlope, _Record, _set
+from .rationals import ResidueSlope, _Record, _set, _written, residue_of
 from .tunnels import TunnelParams, _of_runs
 
 
@@ -131,9 +131,7 @@ def _first_residue(form: TwoBridgeForm) -> ResidueSlope:
     k_first = b_last - (a_last < 0)
     if k_first == 0:
         raise CablingContradictionError("first cabling has twist count 0")
-    # k1/d mod 1 is (k1 mod d)/d for either sign of d, as Python's % takes d's sign.
-    d = 2 * k_first + 1
-    return ResidueSlope(Fraction(k_first % d, d))
+    return residue_of(Fraction(k_first, 2 * k_first + 1))
 
 
 def _walk(form: TwoBridgeForm) -> Iterator[tuple[int, int, int, bool]]:
@@ -193,10 +191,7 @@ def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep,
     the result is sized from the walk's counts before any step is built, so a
     form with more cablings than memory holds fails at once."""
     m0, items = _first_residue(form), list(_walk(form))
-    try:
-        steps = [None] * sum(item[0] for item in items)
-    except OverflowError:
-        raise MemoryError(f"{form.b}/{form.a} has too many cablings to write out") from None
+    steps = _written([((None,), sum(item[0] for item in items))], "cablings")
     cablings = ((i, k, even) for count, top, k, even in items for i in range(top, top - count, -1))
     for at, (i, k, even) in enumerate(cablings):
         steps[at] = CablingStep(i, k, "even" if even else "odd")

@@ -16,7 +16,7 @@ from tunnelslopes import (
     random_word_dictionary_check,
     selfcheck,
 )
-from tunnelslopes.oracle import _eval_raw, _n_family, residue_pair_check
+from tunnelslopes.oracle import _eval_raw, residue_pair_check
 
 from test_contfrac import reference_fold
 
@@ -158,13 +158,18 @@ def test_selfcheck_golden_reports():
         "even-cf uniqueness: ok (3109 checked)",
         "cf/matrix dictionary: ok (200 checked)",
         "2-bridge unit rewrite: ok (164 checked)",
-        "2-bridge residue pair: ok (94 checked)",
+        "2-bridge residue pair: ok (82 checked)",
     ]
+
+
+def n_family(n):
+    """Invariants whose expansions are a few runs standing for about n entries."""
+    return [(n + 1, n), (n - 1, n), (n + 1, n - 1), (n + 3, n + 1), (2 * n + 1, n + 1), (n + 1, 2)]
 
 
 class TestResiduePairCheck:
     def test_huge_families_cost_a_few_runs(self):
-        pairs = [normalize_input(b, a) for n in (10**16, 10**300) for b, a in _n_family(n)]
+        pairs = [normalize_input(b, a) for n in (10**16, 10**300) for b, a in n_family(n)]
         report = residue_pair_check(pairs)
         assert (report.ok, report.checked) == (True, 12)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from tunnelslopes import (
     render,
     residue_of,
 )
+from tunnelslopes import rationals
+from tunnelslopes.rationals import _BLOCK, _written, _written_text
 
 
 class TestRender:
@@ -114,3 +117,57 @@ class TestProjectiveAddInvert:
     def test_double_invert_recovers_sum(self, c, x):
         inner = projective_add_invert(Fraction(0), x)
         assert projective_add_invert(c, inner) == c + x
+
+
+def traced_peak(f, *args):
+    """(f(*args), the peak of the memory that tracemalloc saw it allocate)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+counts = st.integers(0, 3 * _BLOCK)
+
+
+class TestWriteOut:
+    @given(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * 2) | st.just(()), counts), max_size=6))
+    def test_items_are_the_concatenation(self, pieces):
+        values = _written(pieces)
+        assert values == [item for part, count in pieces for _ in range(count) for item in part]
+        at = 0
+        for part, count in pieces:
+            run = values[at : at + len(part) * count]
+            assert all(a is b for a, b in zip(run, part * count))  # shared, not copied
+            at += len(run)
+
+    @given(st.lists(st.tuples(st.text("0123456789/, ", max_size=4), counts), max_size=6))
+    def test_text_is_the_concatenation(self, pieces):
+        assert _written_text(pieces) == "".join(text * count for text, count in pieces)
+
+    def test_too_large_is_refused_before_its_long_runs_are_built(self, monkeypatch):
+        monkeypatch.setattr(rationals, "_MEMORY", 10**6)
+        for write, pieces in [
+            (_written_text, [(", 1/3", 10**5), (", 13/5", 10**5)]),
+            (_written, [((1,), 10**5), ((2,), 10**5)]),
+        ]:
+            write([pieces[0]])  # 0.5 and 0.8 MB fit, 1.1 and 1.6 MB do not
+            with pytest.raises(MemoryError, match=f"^a run of {10**5} equal values cannot be written out$"):
+                traced_peak(write, pieces)
+            _, peak = traced_peak(lambda: pytest.raises(MemoryError, write, pieces))
+            assert peak < 4096
+
+    def test_a_long_text_takes_little_more_than_itself(self):
+        text, peak = traced_peak(_written_text, [("[ 1/3 ]", 1), (", 3", 10**6), (", 5/2", 1)])
+        assert len(text) == 3 * 10**6 + 12
+        assert peak < 1.1 * len(text)
+
+    def test_beyond_any_index(self):
+        with pytest.raises(MemoryError, match=f"^a run of {10**30} blocks cannot be written out$"):
+            _written([((1, 2), 10**30)], "blocks")
+        with pytest.raises(MemoryError):
+            _written_text([(", 1/3", 10**30)])
