@@ -197,6 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failed(args: argparse.Namespace, exc: Exception, message: str) -> int:
+    """Report a failed command on stderr and return its exit status: one
+    'error:' line, or under --json one JSON object with the exception's
+    class, its rule and position (null where it has none) and the message."""
+    if getattr(args, "json", False):
+        rule, position = getattr(exc, "rule", None), getattr(exc, "position", None)
+        line = json.dumps({"error": type(exc).__name__, "rule": rule, "position": position, "message": message})
+    else:
+        line = f"error: {message}"
+    print(line, file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
@@ -211,12 +224,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
+        return _failed(args, exc, str(exc))
+    except MemoryError as exc:
         # An expansion in a few runs can stand for more entries than memory holds.
-        print("error: out of memory: the result is too large to write out", file=sys.stderr)
-        return 1
+        return _failed(args, exc, "out of memory: the result is too large to write out")
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

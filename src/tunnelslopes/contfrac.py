@@ -58,6 +58,7 @@ from .rationals import (
     INFINITY,
     IndeterminateFormError,
     ProjectiveRational,
+    _exact,
     _quotient,
     _Record,
     _set,
@@ -72,7 +73,7 @@ def _fold(word: Iterable[ProjectiveRational]) -> tuple[int, int, int, int]:
         if type(c) is int:
             q, s, p, r = q * c + s, q, p * c + r, p
         else:
-            n, d = (1, 0) if c is INFINITY else Fraction(c).as_integer_ratio()
+            n, d = (1, 0) if c is INFINITY else _exact(c).as_integer_ratio()
             q, s, p, r = q * n + s * d, q * d, p * n + r * d, p * d
     return q, s, p, r
 
@@ -207,7 +208,7 @@ def _even_runs(x: Fraction) -> tuple:
 
 def even_cf_expand(x) -> EvenCF:
     """The unique constraint-satisfying even expansion of a rational."""
-    return EvenCF(_even_runs(Fraction(x)))
+    return EvenCF(_even_runs(_exact(x)))
 
 
 def sum_a(e: EvenCF) -> int:

@@ -12,7 +12,7 @@ that lead followed by the expansion after 2a1, reversed and negated. The
 result q'/p satisfies q*q' = -1 (mod p), and an odd integer simply negates.
 ``conversion_word`` writes this word out.
 
-``st_convert`` reads the same value off a matrix instead. The
+``st_convert`` reads the same value off the change-of-basis fold instead. The
 change-of-basis word of q/p is the expansion followed by the twist -lead, of
 odd length, so its inverse is the reversed negated word: the lead, then
 the expansion after 2a1 reversed and negated, then -2a1. The
@@ -21,7 +21,10 @@ the word without its last entry, which here is the conversion word. So the
 conversion of q/p is the first-column slope -r/p of the inverse of
 ``change_of_basis(q/p)`` = (q s / p r), and it costs what change of basis
 costs: a few steps per regular partial quotient, even near odd integers,
-where the expansion has Theta(p) entries.
+where the expansion has Theta(p) entries. ``st_convert`` converts its
+argument once (an exact ``Fraction`` passes through), checks its parity
+once, and reads -r/p straight off the integer fold ``sl2._basis``, with no
+matrix built.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import even_cf_expand, sum_a
-from .sl2 import ParityError, change_of_basis
+from .rationals import _exact
+from .sl2 import ParityError, _basis
 
 
 def _odd(x) -> Fraction:
-    """x as a Fraction, which the conversion needs with an odd numerator."""
-    x = Fraction(x)
+    """x as an exact Fraction, which the conversion needs with an odd numerator."""
+    x = _exact(x)
     if x.numerator % 2 == 0:
         raise ParityError(f"conversion needs an odd numerator, got {x}")
     return x
@@ -59,9 +63,8 @@ def st_convert(x) -> Fraction:
     ``change_of_basis(x)`` is the fold of x's expansion, which is unimodular,
     so |p| is x's denominator, never 0, and r is prime to p.
     """
-    x = _odd(x)
-    m = change_of_basis(x)
-    return Fraction(-m.r, m.p)
+    _, _, p, r = _basis(_odd(x))
+    return Fraction(-r, p)
 
 
 def _range_pairs(p: int, q_lo: int, q_hi: int) -> Iterator[tuple[Fraction, Fraction]]:

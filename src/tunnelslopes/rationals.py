@@ -151,6 +151,13 @@ def _written_text(pieces: list) -> str:
     return "".join(parts)
 
 
+def _exact(x) -> Fraction:
+    """x as an exact Fraction: x itself when it is one, else Fraction(x). The
+    package converts a value once, where it enters; a subclass, an int, a
+    str or another rational is converted."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def render(x) -> str:
     """Stable text form: integers bare, otherwise numerator/denominator.
 
@@ -159,7 +166,7 @@ def render(x) -> str:
     """
     if x is INFINITY:
         return "1/0"
-    f = x if type(x) is Fraction else Fraction(x)
+    f = _exact(x)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -198,7 +205,7 @@ class ResidueSlope(_Record):
 
     def __init__(self, value: ProjectiveRational):
         if value is not INFINITY:
-            value = Fraction(value)
+            value = _exact(value)
             if not 0 <= value.numerator < value.denominator:
                 raise ValueError(f"residue representative {value} is outside [0, 1)")
         _set(self, "value", value)
@@ -232,7 +239,7 @@ def residue_of(r: ProjectiveRational) -> ResidueSlope:
     """The class of r mod 1, with infinity passing through unchanged."""
     if r is INFINITY:
         return ResidueSlope(INFINITY)
-    return ResidueSlope(Fraction(r) % 1)
+    return ResidueSlope(_exact(r) % 1)
 
 
 def projective_add_invert(c: ProjectiveRational, x: ProjectiveRational) -> ProjectiveRational:

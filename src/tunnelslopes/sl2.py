@@ -7,7 +7,15 @@ encodes are quotients of the entries of its product (see ``word_product``).
 ``change_of_basis`` folds the runs of equal blocks that ``contfrac`` keeps
 the even expansion in, a run of blocks (g, -g) as one closed-form matrix, so
 its cost follows the regular partial quotients of the slope rather than the
-length of the expansion.
+length of the expansion. It converts its argument once (an exact
+``Fraction`` passes through), checks the parity once and folds on plain ints
+in ``_basis``, the core that ``convert.st_convert`` shares.
+
+Only the public constructor ``SL2Matrix(q, s, p, r)`` checks that the
+determinant is 1, since its entries come from outside. ``word_product``,
+``change_of_basis`` and ``inverse`` build their matrices with ``_matrix``
+without the check: their entries are unimodular by construction, which the
+tests and ``oracle.random_word_dictionary_check`` certify.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .contfrac import _even_runs, _fold, _fold_runs
-from .rationals import ProjectiveRational, _quotient, _Record, _set
+from .rationals import ProjectiveRational, _exact, _quotient, _Record, _set
 
 
 class ParityError(ValueError):
@@ -37,13 +45,24 @@ class SL2Matrix(_Record):
         _set(self, "r", r)
 
     def inverse(self) -> "SL2Matrix":
-        return SL2Matrix(self.r, -self.s, -self.p, self.q)
+        return _matrix(self.r, -self.s, -self.p, self.q)
 
     def determinant(self) -> int:
         return self.q * self.r - self.s * self.p
 
     def first_column_slope(self) -> ProjectiveRational:
         return _quotient(self.q, self.p)
+
+
+def _matrix(q: int, s: int, p: int, r: int) -> SL2Matrix:
+    """The matrix (q s / p r) of entries already known to have determinant 1,
+    built without checking it again."""
+    m = object.__new__(SL2Matrix)
+    _set(m, "q", q)
+    _set(m, "s", s)
+    _set(m, "p", p)
+    _set(m, "r", r)
+    return m
 
 
 def word_product(exponents: Iterable[int]) -> SL2Matrix:
@@ -62,7 +81,16 @@ def word_product(exponents: Iterable[int]) -> SL2Matrix:
     q, s, p, r = _fold(exps)
     if len(exps) % 2:
         q, s, p, r = s, q, r, p
-    return SL2Matrix(q, s, p, r)
+    return _matrix(q, s, p, r)
+
+
+def _basis(x: Fraction) -> tuple[int, int, int, int]:
+    """The entries (q, s, p, r) of ``change_of_basis(x)`` for an exact
+    ``Fraction`` x whose numerator the caller has checked is odd."""
+    runs = _even_runs(x)
+    t = 2 * sum([a * n for a, _, n in runs]) * (1 if x.denominator % 2 else -1)
+    q, s, p, r = _fold_runs(runs)
+    return q, q * t + s, p, p * t + r
 
 
 def change_of_basis(x) -> SL2Matrix:
@@ -72,11 +100,9 @@ def change_of_basis(x) -> SL2Matrix:
     word U^2a1 L^2b1 ... U^2an L^bn U^t with t = 2*sum(ai) for p odd and
     t = -2*sum(ai) for p even. An odd numerator closes the expansion on bn,
     so the fold of its runs is its product, and U^t = (1 t / 0 1) ends it.
+    An exact ``Fraction`` is used as it is; any other value is converted.
     """
-    x = Fraction(x)
+    x = _exact(x)
     if x.numerator % 2 == 0:
         raise ParityError(f"change of basis needs an odd numerator, got {x}")
-    runs = _even_runs(x)
-    t = 2 * sum([a * n for a, _, n in runs]) * (1 if x.denominator % 2 else -1)
-    q, s, p, r = _fold_runs(runs)
-    return SL2Matrix(q, q * t + s, p, p * t + r)
+    return _matrix(*_basis(x))

@@ -234,8 +234,45 @@ def serialize(t: TunnelParams) -> str:
 _RESIDUE_RE = re.compile(r"\s*\[\s*(-?\d+)(?:\s*/\s*(-?\d+))?\s*\]")
 
 
+def _stripped(text: str, start: int, stop: int) -> tuple[int, int]:
+    """The bounds of text[start:stop].strip() in text, found without a copy."""
+    while start < stop and text[start].isspace():
+        start += 1
+    while stop > start and text[stop - 1].isspace():
+        stop -= 1
+    return start, stop
+
+
+def _equal_tokens(text: str, token: str, at: int, stop: int) -> tuple[int, int]:
+    """(count, end) of the stretch of slope tokens equal to token whose first
+    one ends at the comma before text[at], each later one ending at a ',' or
+    at stop: end is just past the comma after the last one, or stop + 1 when
+    the stretch ends at stop. The text is compared in blocks that double up
+    to 4096 characters and then halve, so a long stretch costs a Python step
+    per 4096 characters and no copy of itself."""
+    width = len(token) + 1
+    count, block = 1, token + ","
+    while text.startswith(block, at, stop):
+        count += len(block) // width
+        at += len(block)
+        if len(block) < 4096:
+            block += block
+    while len(block) > width:
+        block = block[: len(block) // 2]
+        if text.startswith(block, at, stop):
+            count += len(block) // width
+            at += len(block)
+    if at + len(token) == stop and text.startswith(token, at, stop):
+        return count + 1, stop + 1
+    return count, at
+
+
 def parse(text: str) -> TunnelParams:
-    """Inverse of serialize, raising ParseError with a position on bad input."""
+    """Inverse of serialize, raising ParseError with a position on bad input.
+
+    The text is read by index, a stretch of equal slope tokens as one run
+    with one ``Fraction``, so memory follows the runs, not the text's length.
+    """
     match = _RESIDUE_RE.match(text)
     if not match:
         raise ParseError("expected a residue of the form '[ p/q ]'", 0)
@@ -249,18 +286,19 @@ def parse(text: str) -> TunnelParams:
     if num == den == 0:
         raise ParseError("residue 0/0 is degenerate", match.start(1))
     m0 = residue_of(INFINITY if den == 0 else Fraction(num, den))
-    rest = text[match.end():]
     offset = match.end()
-    slope_part, semicolon, bits_part = rest.partition(";")
+    semicolon = text.find(";", offset)
+    start, stop = _stripped(text, offset, len(text) if semicolon < 0 else semicolon)
     runs: list = []
-    stripped = slope_part.strip()
-    if stripped:
-        if not stripped.startswith(","):
+    if start < stop:
+        if text[start] != ",":
             raise ParseError("expected ',' before the cabling slopes", offset)
-        cursor = offset + slope_part.index(",") + 1
-        # A stretch of equal token texts is read once, as one run; the cursor
-        # is at the stretch's first token, where any error in it stands.
-        for token, stretch in groupby(stripped[1:].split(",")):
+        # A stretch of equal token texts is read once, as one run; an error
+        # in it stands at its first token, the cursor.
+        cursor = start + 1
+        while cursor <= stop:
+            comma = text.find(",", cursor, stop)
+            token = text[cursor : stop if comma < 0 else comma]
             cleaned = token.strip()
             if not cleaned:
                 raise ParseError("empty slope entry", cursor)
@@ -268,21 +306,30 @@ def parse(text: str) -> TunnelParams:
                 m = Fraction(cleaned)
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
-            count = len(list(stretch))
+            if comma < 0:
+                count, cursor = 1, stop + 1
+            else:
+                count, cursor = _equal_tokens(text, token, comma + 1, stop)
             if runs and runs[-1][0] == m:  # an equal value written another way
                 runs[-1] = (runs[-1][0], runs[-1][1] + count)
             else:
                 runs.append((m, count))
-            cursor += count * (len(token) + 1)
     binary_runs: tuple = ()
-    if semicolon:
-        bits = bits_part.strip()
-        bit_pos = text.index(";", offset)
-        if not bits:
-            raise ParseError("missing binary string after ';'", bit_pos)
-        if not {*bits} <= {"0", "1"}:
-            raise ParseError(f"binary string {_excerpt(bits)} must use only 0 and 1", bit_pos)
-        binary_runs = tuple([(int(bit), len(list(run))) for bit, run in groupby(bits)])
+    if semicolon >= 0:
+        start, stop = _stripped(text, semicolon + 1, len(text))
+        if start == stop:
+            raise ParseError("missing binary string after ';'", semicolon)
+        if text.count("0", start, stop) + text.count("1", start, stop) != stop - start:
+            bits = text[start:stop]
+            raise ParseError(f"binary string {_excerpt(bits)} must use only 0 and 1", semicolon)
+        bit_runs = []
+        while start < stop:  # a run of one bit ends where the other bit is next found
+            bit = text[start]
+            end = text.find("1" if bit == "0" else "0", start, stop)
+            end = stop if end < 0 else end
+            bit_runs.append((int(bit), end - start))
+            start = end
+        binary_runs = tuple(bit_runs)
     return _of_runs(m0, tuple(runs), binary_runs)
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import EvenCF, even_cf_expand
-from .rationals import ResidueSlope, _Record, _set, _written, residue_of
+from .rationals import ResidueSlope, _fits, _Record, _set, residue_of
 from .tunnels import TunnelParams, _of_runs
 
 
@@ -186,12 +186,20 @@ def _walk(form: TwoBridgeForm) -> Iterator[tuple[int, int, int, bool]]:
             top -= count
 
 
+# The bytes one cabling takes in the result of cabling_steps: its slots in the
+# list and the tuple, its CablingStep (56 B, slotted) and its index int (28 B).
+_STEP_BYTES = 8 + 8 + 56 + 28
+
+
 def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep, ...]]:
     """The first-cabling residue and the later cablings in construction order;
-    the result is sized from the walk's counts before any step is built, so a
-    form with more cablings than memory holds fails at once."""
+    the result, records and all, is sized from the walk's counts before any
+    step is built, so a form with more cablings than memory holds fails at
+    once with ``MemoryError``."""
     m0, items = _first_residue(form), list(_walk(form))
-    steps = _written([((None,), sum(item[0] for item in items))], "cablings")
+    n = sum(item[0] for item in items)
+    _fits([((None,), n)], "cablings", _STEP_BYTES)
+    steps = [None] * n
     cablings = ((i, k, even) for count, top, k, even in items for i in range(top, top - count, -1))
     for at, (i, k, even) in enumerate(cablings):
         steps[at] = CablingStep(i, k, "even" if even else "odd")

@@ -10,6 +10,7 @@ import pytest
 
 import tunnelslopes.cli
 import tunnelslopes.convert
+import tunnelslopes.rationals
 import tunnelslopes.tunnels
 from tunnelslopes import TunnelParams, serialize, to_export
 from tunnelslopes.cli import main
@@ -418,6 +419,58 @@ class TestTupleCommands:
         assert "(5001 characters)" in err
         assert "position" in err
         assert len(err.encode()) < 200
+
+
+class TestJsonErrors:
+    # Under --json a failed tuple command writes one JSON line to stderr
+    # carrying the exception's class, rule and position; exit codes, stdout
+    # and the plain error lines stay as they were.
+    @pytest.mark.parametrize("verb", ["classify", "mirror", "link"])
+    def test_parse_error(self, capsys, verb):
+        code, out, err = run(capsys, verb, "--json", "[ 1/3 ], 3, x")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "rule": None,
+            "position": 11,
+            "message": "bad slope 'x' (at position 11)",
+        }
+        assert run(capsys, verb, "[ 1/3 ], 3, x") == (1, "", "error: bad slope 'x' (at position 11)\n")
+
+    @pytest.mark.parametrize("verb", ["classify", "mirror", "link"])
+    def test_validation_error(self, capsys, verb):
+        code, out, err = run(capsys, verb, "--json", "[ 1/3 ], 3, 5/3 ; 01")
+        assert (code, out) == (1, "")
+        message = "binaries-length: 2 cabling slopes need 1 binaries, got 2"
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "rule": "binaries-length",
+            "position": None,
+            "message": message,
+        }
+        assert run(capsys, verb, "[ 1/3 ], 3, 5/3 ; 01") == (1, "", f"error: {message}\n")
+
+    def test_plain_value_error(self, capsys):
+        code, out, err = run(capsys, "link", "--json", "[ 1/3 ], 3, 5/3 ; 0")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "rule": None,
+            "position": None,
+            "message": "linking number is defined only for link tunnels",
+        }
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        # A run of 2000 slopes is written out by the export only once it fits.
+        monkeypatch.setattr(tunnelslopes.rationals, "_MEMORY", 1000)
+        params = "[ 1/3 ], " + ", ".join(["3"] * 2000) + " ; " + "0" * 1999
+        message = "out of memory: the result is too large to write out"
+        code, out, err = run(capsys, "classify", "--json", params)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "MemoryError", "rule": None, "position": None, "message": message}
+        assert run(capsys, "classify", params) == (0, "Semisimple\n", "")
+        assert run(capsys, "mirror", params) == (1, "", f"error: {message}\n")
 
 
 def test_selfcheck(capsys):

@@ -1,8 +1,11 @@
+import importlib.util
 import random
+import sys
 import tracemalloc
 from collections import deque
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +15,15 @@ from tunnelslopes import (
     change_of_basis,
     conversion_word,
     convert_range,
+    SL2Matrix,
     cf_eval,
     even_cf_expand,
     st_convert,
     sum_a,
     word_product,
 )
-from tunnelslopes.convert import _range_pairs
+from tunnelslopes.contfrac import _even_runs, _fold_runs
+from tunnelslopes.convert import _odd, _range_pairs
 
 KNOWN_CONVERSIONS = [
     (Fraction(55), Fraction(-55)),
@@ -199,3 +204,100 @@ def test_near_odd_integer_closed_form(m, eps, n):
     assert basis.determinant() == 1
     assert basis.inverse().first_column_slope() == y
 
+
+# The conversion as it was when every layer copied its argument into a new
+# Fraction and checked it again: the references for the one-conversion path.
+
+
+def reference_odd(x):
+    x = Fraction(x)
+    if x.numerator % 2 == 0:
+        raise ParityError(f"conversion needs an odd numerator, got {x}")
+    return x
+
+
+def reference_change_of_basis(x):
+    x = Fraction(x)
+    if x.numerator % 2 == 0:
+        raise ParityError(f"change of basis needs an odd numerator, got {x}")
+    runs = _even_runs(x)
+    t = 2 * sum([a * n for a, _, n in runs]) * (1 if x.denominator % 2 else -1)
+    q, s, p, r = _fold_runs(runs)
+    return SL2Matrix(q, q * t + s, p, p * t + r)
+
+
+def reference_st_convert(x):
+    x = reference_odd(x)
+    m = reference_change_of_basis(x)
+    return Fraction(-m.r, m.p)
+
+
+class Sub(Fraction):
+    """A Fraction subclass, which the boundary converts like any other value."""
+
+
+def outcome(f, x):
+    """("value", result, its type) or ("error", exception type, message)."""
+    try:
+        result = f(x)
+    except (ValueError, ArithmeticError, TypeError) as exc:
+        return "error", type(exc), str(exc)
+    return "value", result, type(result)
+
+
+small = st.integers(-10**6, 10**6)
+boundary_values = st.one_of(
+    small,
+    st.booleans(),
+    st.fractions(),
+    st.builds(Sub, small, st.integers(1, 10**6)),
+    st.builds(lambda q, p: f"{q}/{p}", small, st.integers(1, 10**6)),
+    st.builds(str, small),
+    st.sampled_from(["x", "1/0", "", " 3/5 ", "2/4"]),
+    st.builds(lambda q, p: Fraction(2 * q, 2 * p + 1), small, st.integers(0, 10**6)),  # even numerators
+)
+
+
+def convert_pools():
+    """Both convert benchmark pools (uniform and parabolic), seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.build_uniform(1, False) + workloads.build_parabolic(1, False)
+
+
+class TestExactBoundary:
+    @given(boundary_values)
+    @settings(max_examples=400)
+    def test_matches_the_copying_references(self, x):
+        for f, reference in [
+            (_odd, reference_odd),
+            (st_convert, reference_st_convert),
+            (change_of_basis, reference_change_of_basis),
+        ]:
+            got = outcome(f, x)
+            assert got == outcome(reference, x)
+            if f is change_of_basis and got[0] == "value":
+                assert got[1].determinant() == 1
+
+    def test_an_exact_fraction_passes_through(self):
+        x = Fraction(59, 35)
+        assert _odd(x) is x
+        sub = Sub(59, 35)
+        assert type(_odd(sub)) is Fraction and _odd(sub) == sub
+
+    def test_parity_messages(self):
+        with pytest.raises(ParityError, match="^conversion needs an odd numerator, got 4/7$"):
+            st_convert(Sub(4, 7))
+        with pytest.raises(ParityError, match="^change of basis needs an odd numerator, got 2$"):
+            change_of_basis("2")
+
+    def test_benchmark_pools(self):
+        pool = convert_pools()
+        assert len(pool) > 2000
+        for x in pool:
+            m = change_of_basis(x)
+            assert m == reference_change_of_basis(x)
+            assert m.determinant() == m.inverse().determinant() == 1
+            assert st_convert(x) == reference_st_convert(x) == m.inverse().first_column_slope()

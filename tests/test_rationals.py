@@ -2,7 +2,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tunnelslopes import (
     INFINITY,
@@ -14,7 +14,9 @@ from tunnelslopes import (
     residue_of,
 )
 from tunnelslopes import rationals
-from tunnelslopes.rationals import _BLOCK, _written, _written_text
+from tunnelslopes.rationals import _BLOCK, _exact, _written, _written_text
+
+from test_convert import Sub, outcome
 
 
 class TestRender:
@@ -89,6 +91,50 @@ class TestResidues:
     @given(st.fractions(max_denominator=1000), st.integers(-100, 100))
     def test_integer_shift_invariance(self, r, k):
         assert residue_of(r) == residue_of(r + k)
+
+
+# ResidueSlope and residue_of as they were when each copied its argument into
+# a new Fraction: the references for the one-conversion path.
+
+
+def reference_residue_value(value):
+    """The value ResidueSlope(value) stored, or the error it raised."""
+    if value is not INFINITY:
+        value = Fraction(value)
+        if not 0 <= value.numerator < value.denominator:
+            raise ValueError(f"residue representative {value} is outside [0, 1)")
+    return value
+
+
+def reference_residue_of(r):
+    return reference_residue_value(INFINITY if r is INFINITY else Fraction(r) % 1)
+
+
+residue_inputs = st.one_of(
+    st.integers(-5, 5),
+    st.booleans(),
+    st.fractions(min_value=-3, max_value=3),
+    st.builds(Sub, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds(lambda q, p: f"{q}/{p}", st.integers(-50, 50), st.integers(1, 50)),
+    st.sampled_from([INFINITY, "x", "1/0", 0.5]),
+)
+
+
+class TestExactBoundary:
+    def test_exact_fractions_pass_through(self):
+        x = Fraction(1, 3)
+        assert _exact(x) is x
+        assert ResidueSlope(x).value is x
+        for other in (Sub(1, 3), "1/3", True, 2):
+            assert type(_exact(other)) is Fraction and _exact(other) == Fraction(other)
+
+    @given(residue_inputs)
+    @settings(max_examples=300)
+    def test_matches_the_copying_references(self, x):
+        stored = outcome(lambda v: ResidueSlope(v).value, x)
+        assert stored == outcome(reference_residue_value, x)
+        assert outcome(lambda v: residue_of(v).value, x) == outcome(reference_residue_of, x)
+        assert outcome(render, x) == outcome(lambda v: render(Fraction(v)) if v is not INFINITY else "1/0", x)
 
 
 class TestProjectiveAddInvert:

@@ -72,8 +72,17 @@ class TestWordProduct:
         assert m.determinant() == 1
 
     def test_determinant_enforced_at_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^determinant of \(1 1 / 1 1\) is not 1$"):
             SL2Matrix(1, 1, 1, 1)
+
+    @given(st.lists(st.integers(-50, 50), max_size=12))
+    def test_internal_matrices_are_unimodular(self, word):
+        # word_product and inverse build their matrices without the
+        # constructor's check, so the determinant is certified here.
+        m = word_product(word)
+        assert m.determinant() == m.inverse().determinant() == 1
+        assert SL2Matrix(m.q, m.s, m.p, m.r) == m
+        assert m.inverse().inverse() == m
 
 
 def quotients(word):

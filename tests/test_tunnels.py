@@ -1,5 +1,7 @@
 import copy
 import pickle
+import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -501,6 +503,49 @@ def test_parse_matches_the_reference(text):
     assert got == want
     if got[0] == "value":
         assert_matches_the_references(got[1])
+
+
+@st.composite
+def long_stretch_texts(draw):
+    """Tuple texts whose token stretches cross the block sizes parse compares
+    in (up to 4096 characters), with trailing commas, spaces and bad bits."""
+    text = draw(st.sampled_from(RESIDUES[:4]))
+    tokens = []
+    for _ in range(draw(st.integers(0, 3))):
+        token = draw(st.sampled_from(TOKENS[:11] + [" 3 ", "7/3", "123456789/2"]))
+        tokens += [token] * draw(st.sampled_from([1, 2, 3, 255, 256, 257, 1023, 1024, 1025, 2500]))
+    if tokens:
+        text += ", " + ",".join(tokens) + draw(st.sampled_from(["", " ", ",", " \n", ", 3"]))
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.tuples(st.sampled_from("01 2"), st.integers(1, 3000)), max_size=4))
+        text += " ; " + "".join(bit * n for bit, n in bits)
+    return text
+
+
+@given(long_stretch_texts())
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_the_reference_on_long_stretches(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+def test_parse_memory_follows_the_runs():
+    # The 2 000 005-byte line of 499 999 equal slopes is one run of slopes
+    # and one of bits. Reading it by index copies no part of it.
+    line = serialize(two_bridge_slopes(make_form(2000001, 1999999)))
+    assert len(line) == 2_000_005
+    parse(line)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = time.perf_counter()
+        t = parse(line)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(line)
+    assert t.slope_runs == ((Fraction(1), 499_999),) and t.binary_runs == ((0, 499_998),)
+    assert seconds < 1.0
 
 
 @st.composite

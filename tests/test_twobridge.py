@@ -38,6 +38,7 @@ from tunnelslopes import (
     validate,
 )
 import tunnelslopes.oracle
+import tunnelslopes.rationals
 import tunnelslopes.twobridge
 from tunnelslopes.oracle import _unit_word, unit_rewrite, unit_rewrite_check
 from tunnelslopes.twobridge import _first_residue, _walk
@@ -752,6 +753,19 @@ def test_cabling_steps_beyond_memory_fail_at_once():
     )
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+def test_cabling_steps_sizes_its_records(monkeypatch):
+    # 200001/199999 has 49 999 cablings after the first: their list slots
+    # (0.4 MB) fit in 1 MB, their records (about 5 MB) do not. Sizing only
+    # the slots would build every record before running out.
+    form = make_form(200001, 199999)
+    monkeypatch.setattr(tunnelslopes.rationals, "_MEMORY", 10**6)
+    tunnelslopes.rationals._written([((None,), 49_999)], "cablings")
+    with pytest.raises(MemoryError, match="^a run of 49999 cablings cannot be written out$"):
+        cabling_steps(form)
+    _, peak = traced_peak(lambda: pytest.raises(MemoryError, cabling_steps, form))
+    assert peak < 4096
 
 
 def test_cabling_steps_memory_per_step():
