@@ -66,9 +66,10 @@ from .rationals import (
 )
 
 
-def _fold(word: Iterable[ProjectiveRational]) -> tuple[int, int, int, int]:
-    """The product (q s / p r) of (n d / d 0) over the entries n/d of a word."""
-    q, s, p, r = 1, 0, 0, 1
+def _fold(word: Iterable[ProjectiveRational], start: tuple = (1, 0, 0, 1)) -> tuple[int, int, int, int]:
+    """The product (q s / p r) of (n d / d 0) over the entries n/d of a word,
+    times start on the left."""
+    q, s, p, r = start
     for c in word:
         if type(c) is int:
             q, s, p, r = q * c + s, q, p * c + r, p
@@ -82,25 +83,24 @@ def _fold_runs(runs: tuple) -> tuple[int, int, int, int]:
     """``_fold`` of the word that runs of blocks stand for, not written out:
     a run of n > 1 blocks (g, -g) with g = +-1 in closed form, any other run
     block by block, and the last block on its own, as its b is bk whole."""
-    q, s, p, r = 1, 0, 0, 1
+    fold, word = (1, 0, 0, 1), []
     *body, last = runs
     a, b, n = last
     if n > 1:
         body.append((a, b, n - 1))
     for a, b, n in body:
         if n > 1 and a * a == 1 and b == -a:
+            q, s, p, r = _fold(word, fold)
+            word = []
             j = 2 * n
             k = j * a
             q, s, p, r = q + j * q + k * s, s - j * s - k * q, p + j * p + k * r, r - j * r - k * p
-            if n % 2:
-                q, s, p, r = -q, -s, -p, -r
-            continue
-        for c in (2 * a, 2 * b) * n:
-            q, s, p, r = q * c + s, q, p * c + r, p
+            fold = (-q, -s, -p, -r) if n % 2 else (q, s, p, r)
+        else:
+            word += (2 * a, 2 * b) * n
     a, b, _ = last
-    for c in (2 * a,) if b is None else (2 * a, b):
-        q, s, p, r = q * c + s, q, p * c + r, p
-    return q, s, p, r
+    word += (2 * a,) if b is None else (2 * a, b)
+    return _fold(word, fold)
 
 
 def cf_eval(entries: Iterable[ProjectiveRational]) -> ProjectiveRational:

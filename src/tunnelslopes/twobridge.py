@@ -7,35 +7,32 @@ normalized fraction stands for |ai| full twists of sign ei = sign ai, one
 cabling per twist. Walking the twists from the last to the first yields the
 twist count of each cabling, k = 2b + (e + e')/2 from the signs e, e' of a
 twist and its predecessor and the lower entry b between them (zero inside a
-block, so the walk yields the |ai| - 1 cablings inside block i, all with
-k = ei, as one run; a stretch of one-twist blocks with equal entries, which
-a run of pairs (2s, -2s) gives, has equal boundary cablings and is one run
-too), and from it the cabling slope, 2 + 1/k = (2k + 1)/k or
--2 + 1/k = (1 - 2k)/k depending on a strand parity that the final lower entry
-controls. One walk serves both ``cabling_steps``, which records each cabling
-as a ``CablingStep``, and ``two_bridge_slopes``, which merges the walk's
-items into maximal runs of equal slopes and builds each run's slope once, in
-lowest terms. The first cabling instead contributes the residue k1/(2k1 + 1)
-mod 1, where k1 is the final lower entry, less one when the last a entry is
-negative. All of the selection bits are zero for these tunnels.
+block, so the |ai| - 1 cablings inside block i all have k = ei), and from it
+the cabling slope, 2 + 1/k = (2k + 1)/k or -2 + 1/k = (1 - 2k)/k depending
+on a strand parity that the final lower entry controls. The first cabling
+instead contributes the residue k1/(2k1 + 1) mod 1, where k1 is the final
+lower entry, less one when the last a entry is negative. All of the
+selection bits are zero for these tunnels.
 
-The walk reads the runs of equal blocks (ai, bi) that ``EvenCF`` stores,
-never its written-out entries: a run of n blocks gives it at most two keys,
-n - 1 blocks whose lower neighbour is the same block and one whose lower
-neighbour ends the run below. So a form costs memory and Python steps per
-run, not per entry or per twist, and so does the ``TunnelParams`` that
-``two_bridge_slopes`` returns, which stores runs; only the steps that
-``cabling_steps`` returns grow with the twists. This module holds only
-that path: ``make_form`` is the one validation of b/a, ``_first_residue``
-and ``_walk`` the one place a zero twist count is rejected, and the records
-are not checked again.
+``_walk`` reads the runs of equal blocks (ai, bi) that ``EvenCF`` stores,
+never its written-out entries, and passes every cabling through one
+append-or-extend keyed on (k, parity), so it returns the maximal runs of
+equal cablings. A run of n blocks is its own lower neighbour n - 1 times;
+only runs of blocks (+-1, -+1) are long, and their blocks have no inner
+cablings, so their n - 1 equal boundary cablings go in as one; any other
+run is O(log b) blocks long. So a form costs memory and Python steps per
+run, not per entry or per twist. ``cabling_steps`` records each cabling as
+a ``CablingStep``, and only its result grows with the twists;
+``two_bridge_slopes`` builds each item's slope once, in lowest terms, and
+returns a ``TunnelParams`` of one slope run per item. ``make_form`` is the
+one validation of b/a, ``_first_residue`` and ``_walk`` the one place a
+zero twist count is rejected, and the records are not checked again.
 ``oracle.unit_rewrite_check`` certifies the walk against the unit rewrite,
 one unit per twist, which only the oracle writes out.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
@@ -134,56 +131,44 @@ def _first_residue(form: TwoBridgeForm) -> ResidueSlope:
     return residue_of(Fraction(k_first, 2 * k_first + 1))
 
 
-def _walk(form: TwoBridgeForm) -> Iterator[tuple[int, int, int, bool]]:
-    """(count, index, k, even) per run of equal cablings after the first, in
-    construction order: its length, highest twist index, twist count and
-    whether its strand parity is even."""
+def _walk(form: TwoBridgeForm) -> list[tuple[int, int, int, bool]]:
+    """The maximal runs of equal cablings after the first, in construction
+    order, as (count, top, k, even): a run's length, its highest twist
+    index, its twist count and whether its strand parity is even."""
     runs = form.expansion.runs
     b_last = runs[-1][1]
-    # Block j from the last to the first, keyed by (aj, a(j-1), b(j-1));
-    # block 0 has no lower neighbour and is keyed (a0, None, None). A run of
-    # n equal blocks has n - 1 blocks keyed by itself and one keyed by the
-    # block below it; equal consecutive keys make one stretch.
-    stretches: list = []
-    key, count, top = None, 0, -1
-    for (a, b, n), (a_lower, b_lower, _) in zip(runs[::-1], runs[-2::-1] + ((None, None, 0),)):
-        top += abs(a) * n
-        if n > 1:
-            if key != (a, a, b):
-                stretches.append((key, count))
-                key, count = (a, a, b), 0
-            count += n - 1
-        if key != (a, a_lower, b_lower):
-            stretches.append((key, count))
-            key, count = (a, a_lower, b_lower), 0
-        count += 1
-    stretches.append((key, count))
-    del stretches[0]  # the empty stretch before the first key
-    for (a, a_lower, b), count in stretches:
-        # Cablings whose successor twist lies in block j (sign e) have the
-        # parity of b_last + (e + 1)/2: |aj| - 1 inside the block with k = e,
-        # and for j > 0 one at the boundary, k = 2b(j-1) + (e + e')/2.
+    items: list = []
+    i = sum([abs(a) * n for a, _, n in runs]) - 1  # the next twist index, downwards
+
+    def cable(count: int, k: int, even: bool) -> None:
+        nonlocal i
+        if k == 0:
+            raise CablingContradictionError(f"cabling {i} has twist count 0")
+        if items and items[-1][2] == k and items[-1][3] is even:
+            items[-1] = (items[-1][0] + count, items[-1][1], k, even)
+        else:
+            items.append((count, i, k, even))
+        i -= count
+
+    for j in range(len(runs) - 1, -1, -1):
+        # Each block of sign e gives |a| - 1 cablings with k = e and, unless it
+        # is block 0, one at its lower boundary, k = 2b' + (e + e')/2 from the
+        # block (a', b') below it: its own run's block for all but the lowest.
+        a, b, n = runs[j]
         e = 1 if a > 0 else -1
         even = (b_last + (e + 1) // 2) % 2 == 0
         inner = abs(a) - 1
-        if a_lower is None:
-            if inner > 0:
-                yield inner, top, e, even
-            return
-        k = 2 * b + (e + (1 if a_lower > 0 else -1)) // 2
-        if k == 0:
-            raise CablingContradictionError(f"cabling {top - max(inner, 0)} has twist count 0")
         if inner > 0:
-            for _ in range(count):
-                yield inner, top, e, even
-                top -= inner
-                yield 1, top, k, even
-                top -= 1
-        else:
-            # Blocks of one twist with equal keys, as a run of pairs
-            # (2s, -2s) gives, have only their equal boundary cablings.
-            yield count, top, k, even
-            top -= count
+            for _ in range(n - 1):  # a hyperbolic run, O(log b) blocks long
+                cable(inner, e, even)
+                cable(1, 2 * b + e, even)
+            cable(inner, e, even)
+        elif n > 1:
+            cable(n - 1, 2 * b + e, even)
+        if j:
+            a_lower, b_lower, _ = runs[j - 1]
+            cable(1, 2 * b_lower + (e + (1 if a_lower > 0 else -1)) // 2, even)
+    return items
 
 
 # The bytes one cabling takes in the result of cabling_steps: its slots in the
@@ -196,7 +181,7 @@ def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep,
     the result, records and all, is sized from the walk's counts before any
     step is built, so a form with more cablings than memory holds fails at
     once with ``MemoryError``."""
-    m0, items = _first_residue(form), list(_walk(form))
+    m0, items = _first_residue(form), _walk(form)
     n = sum(item[0] for item in items)
     _fits([((None,), n)], "cablings", _STEP_BYTES)
     steps = [None] * n
@@ -207,16 +192,10 @@ def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep,
 
 
 def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
-    """The full cabling-parameter tuple of the knot's depth-one tunnel, built
-    from the walk's items merged into maximal runs of equal slopes, one
-    Fraction per run, so it costs O(runs) however many cablings there are."""
-    m0 = _first_residue(form)
-    runs: list = []
-    for count, _, k, even in _walk(form):
-        if runs and runs[-1][1] == k and runs[-1][2] is even:
-            runs[-1][0] += count
-        else:
-            runs.append([count, k, even])
-    slopes = tuple([(_cabling_slope(k, even), count) for count, k, even in runs])
-    n = sum([count for count, _, _ in runs])
+    """The full cabling-parameter tuple of the knot's depth-one tunnel, one
+    run of equal slopes per walk item and one Fraction per run, so it costs
+    O(runs) however many cablings there are."""
+    m0, items = _first_residue(form), _walk(form)
+    slopes = tuple([(_cabling_slope(k, even), count) for count, _, k, even in items])
+    n = sum([count for count, _, _, _ in items])
     return _of_runs(m0, slopes, ((0, n - 1),) if n > 1 else ())

@@ -514,8 +514,7 @@ def test_unit_rewrite_check_catches_broken_forms(monkeypatch):
     walk = tunnelslopes.twobridge._walk
 
     def walk_with_a_wrong_boundary(form):
-        for count, top, k, even in walk(form):
-            yield count, top, k + (count == 1), even
+        return [(count, top, k + (count == 1), even) for count, top, k, even in walk(form)]
 
     monkeypatch.setattr(tunnelslopes.twobridge, "_walk", walk_with_a_wrong_boundary)
     assert unit_rewrite_check([form]).violations == (
@@ -582,7 +581,7 @@ def assert_matches_entry_walk(form):
     the entry-by-entry writer, the grouped walk and str() per bit."""
     x = Fraction(form.b, form.a)
     assert form.expansion == reference_even_cf(*reference_entry_writer(x))
-    assert list(_walk(form)) == list(reference_grouped_walk(form))
+    assert per_index(_walk(form)) == per_index(reference_grouped_walk(form))
     t = two_bridge_slopes(form)
     assert serialize(t) == reference_serialize(t)
     assert t.slopes == reference_slopes(form)
@@ -623,11 +622,11 @@ def test_runs_match_the_entries_on_run_families(x):
         assert_matches_entry_walk(form)
 
 
-def merged_walk(form):
-    """_walk's items with consecutive items of one (k, parity) merged into
+def merged_walk(walk):
+    """A walk's items with consecutive items of one (k, parity) merged into
     one: the counts summed, the first item's top index kept."""
     merged = []
-    for count, top, k, even in _walk(form):
+    for count, top, k, even in walk:
         if merged and merged[-1][2:] == (k, even):
             merged[-1] = (merged[-1][0] + count, merged[-1][1], k, even)
         else:
@@ -635,14 +634,26 @@ def merged_walk(form):
     return merged
 
 
+def test_walk_yields_maximal_runs():
+    # 36000037/11999989 has a run (2, -1) x 2 above a stretch of 85 713 blocks
+    # (1, -1); its positive residue's last 85 714 cablings, all k = -1, once
+    # came as three items.
+    pairs = RUN_HEAVY_INVARIANTS + NEAR_ONE_INVARIANTS + slopes_2bridge_pools() + [(36000037, 11999989)]
+    for pair in pairs:
+        for form in normalize_input(*pair):
+            walk = _walk(form)
+            assert walk == merged_walk(reference_grouped_walk(form))
+            assert len(two_bridge_slopes(form).slope_runs) == len(walk)
+
+
 def assert_residues_agree(b, a, cap=10**6):
     """Both admissible residues of b/a give the same first residue and the
-    same merged walk, read per run, and the same tuple text when it has at
-    most cap slopes. Unmerged, the walks of the two forms often differ."""
+    same walk, read per run, and the same tuple text when it has at most
+    cap slopes."""
     first, second = normalize_input(b, a)
     assert _first_residue(first) == _first_residue(second)
-    walk = merged_walk(first)
-    assert merged_walk(second) == walk
+    walk = _walk(first)
+    assert _walk(second) == walk
     if sum(count for count, _, _, _ in walk) <= cap:
         assert serialize(two_bridge_slopes(first)) == serialize(two_bridge_slopes(second))
 
