@@ -34,21 +34,12 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import even_cf_expand, sum_a
-from .rationals import _exact
-from .sl2 import ParityError, _basis
-
-
-def _odd(x) -> Fraction:
-    """x as an exact Fraction, which the conversion needs with an odd numerator."""
-    x = _exact(x)
-    if x.numerator % 2 == 0:
-        raise ParityError(f"conversion needs an odd numerator, got {x}")
-    return x
+from .sl2 import _basis, _odd
 
 
 def conversion_word(x) -> tuple[int, ...]:
     """The continued-fraction word whose value is the converted invariant."""
-    x = _odd(x)
+    x = _odd(x, "conversion")
     expansion = even_cf_expand(x)
     lead = 2 * sum_a(expansion)
     if x.denominator % 2 == 1:
@@ -63,7 +54,7 @@ def st_convert(x) -> Fraction:
     ``change_of_basis(x)`` is the fold of x's expansion, which is unimodular,
     so |p| is x's denominator, never 0, and r is prime to p.
     """
-    _, _, p, r = _basis(_odd(x))
+    _, _, p, r = _basis(_odd(x, "conversion"))
     return Fraction(-r, p)
 
 

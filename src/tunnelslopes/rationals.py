@@ -52,14 +52,16 @@ class _Record:
     """Base of the package's immutable records, which behave as frozen
     dataclasses do without the cost of importing and generating them.
 
-    A subclass names its fields in ``__slots__``, in order, and sets them in
-    its own ``__init__`` with ``_set``. Records of one class are equal when
-    their fields are, and never equal to another class's; the hash is that of
-    the field tuple; the repr is ``Name(field=value, ...)``; assigning or
-    deleting an attribute raises AttributeError; ``__match_args__`` names the
-    fields; and copies and pickles call the class with the field values. A
-    subclass that stores its fields in another form names them in its own
-    ``__match_args__`` and overrides ``__eq__`` and ``__reduce__``.
+    A subclass names its stored slots in ``__slots__``, in order, sets them in
+    its own ``__init__`` with ``_set``, and names its fields in
+    ``__match_args__`` where they are not the slots. Records of one class are
+    equal when their slots are, and never equal to another class's; the hash
+    is that of the field tuple; the repr is ``Name(field=value, ...)``;
+    assigning or deleting an attribute raises AttributeError; and copies and
+    pickles go through ``_new``. ``cls._new(*stored)`` sets the slots to
+    stored, in order, without calling ``__init__``, so without its checks or
+    conversions: internal code calls it with values that are already what
+    ``__init__`` would store.
     """
 
     __slots__ = ()
@@ -67,12 +69,22 @@ class _Record:
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
 
+    @classmethod
+    def _new(cls, *stored):
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, stored):
+            _set(record, name, value)
+        return record
+
+    def _stored(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._stored() == other._stored()
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -89,7 +101,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self)._new, self._stored()
 
 
 def _memory() -> int:
@@ -180,8 +192,15 @@ def _excerpt(text: str) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'n' or 'n/d' into a reduced Fraction."""
+    """Parse 'n' or 'n/d' into a reduced Fraction. A decimal exponent, as in
+    '3.5e0', must be within the int/str digit limit in absolute value:
+    ``Fraction`` applies it as 10**exponent in integer arithmetic, which the
+    limit never sees."""
     try:
+        if "e" in text or "E" in text:
+            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+            if limit and abs(int(text[max(text.rfind("e"), text.rfind("E")) + 1 :])) > limit:
+                raise ValueError
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {_excerpt(text)}") from exc

@@ -7,15 +7,16 @@ encodes are quotients of the entries of its product (see ``word_product``).
 ``change_of_basis`` folds the runs of equal blocks that ``contfrac`` keeps
 the even expansion in, a run of blocks (g, -g) as one closed-form matrix, so
 its cost follows the regular partial quotients of the slope rather than the
-length of the expansion. It converts its argument once (an exact
-``Fraction`` passes through), checks the parity once and folds on plain ints
-in ``_basis``, the core that ``convert.st_convert`` shares.
+length of the expansion. It converts its argument and checks its parity
+once, in ``_odd``, and folds on plain ints in ``_basis``: ``convert`` shares
+both.
 
 Only the public constructor ``SL2Matrix(q, s, p, r)`` checks that the
 determinant is 1, since its entries come from outside. ``word_product``,
-``change_of_basis`` and ``inverse`` build their matrices with ``_matrix``
-without the check: their entries are unimodular by construction, which the
-tests and ``oracle.random_word_dictionary_check`` certify.
+``change_of_basis`` and ``inverse`` build their matrices with
+``SL2Matrix._new`` without the check: their entries are unimodular by
+construction, which the tests and ``oracle.random_word_dictionary_check``
+certify.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ from .rationals import ProjectiveRational, _exact, _quotient, _Record, _set
 
 class ParityError(ValueError):
     """An operation that needs an odd numerator was handed an even one."""
+
+
+def _odd(x, operation: str) -> Fraction:
+    """x as an exact Fraction, which operation needs with an odd numerator."""
+    x = _exact(x)
+    if x.numerator % 2 == 0:
+        raise ParityError(f"{operation} needs an odd numerator, got {x}")
+    return x
 
 
 class SL2Matrix(_Record):
@@ -45,24 +54,13 @@ class SL2Matrix(_Record):
         _set(self, "r", r)
 
     def inverse(self) -> "SL2Matrix":
-        return _matrix(self.r, -self.s, -self.p, self.q)
+        return SL2Matrix._new(self.r, -self.s, -self.p, self.q)
 
     def determinant(self) -> int:
         return self.q * self.r - self.s * self.p
 
     def first_column_slope(self) -> ProjectiveRational:
         return _quotient(self.q, self.p)
-
-
-def _matrix(q: int, s: int, p: int, r: int) -> SL2Matrix:
-    """The matrix (q s / p r) of entries already known to have determinant 1,
-    built without checking it again."""
-    m = object.__new__(SL2Matrix)
-    _set(m, "q", q)
-    _set(m, "s", s)
-    _set(m, "p", p)
-    _set(m, "r", r)
-    return m
 
 
 def word_product(exponents: Iterable[int]) -> SL2Matrix:
@@ -81,7 +79,7 @@ def word_product(exponents: Iterable[int]) -> SL2Matrix:
     q, s, p, r = _fold(exps)
     if len(exps) % 2:
         q, s, p, r = s, q, r, p
-    return _matrix(q, s, p, r)
+    return SL2Matrix._new(q, s, p, r)
 
 
 def _basis(x: Fraction) -> tuple[int, int, int, int]:
@@ -102,7 +100,4 @@ def change_of_basis(x) -> SL2Matrix:
     so the fold of its runs is its product, and U^t = (1 t / 0 1) ends it.
     An exact ``Fraction`` is used as it is; any other value is converted.
     """
-    x = _exact(x)
-    if x.numerator % 2 == 0:
-        raise ParityError(f"change of basis needs an odd numerator, got {x}")
-    return _matrix(*_basis(x))
+    return SL2Matrix._new(*_basis(_odd(x, "change of basis")))

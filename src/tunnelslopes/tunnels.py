@@ -23,6 +23,7 @@ from .rationals import (
     _set,
     _written,
     _written_text,
+    parse_rational,
     render,
     residue_of,
 )
@@ -79,6 +80,11 @@ class TunnelParams(_Record):
     one shared object per run, at O(n) cost, and so are the hash and the repr
     (those of a frozen dataclass of the fields m0, slopes and binaries) and
     ``to_export``; a run too long to write out raises ``MemoryError``.
+
+    ``TunnelParams._new(m0, slope_runs, binary_runs)`` takes runs as they are
+    stored, unchecked. They must be maximal, since equality compares the
+    runs while the hash compares the written-out values, and of exact types,
+    as the constructor would store them.
     """
 
     __slots__ = ("m0", "slope_runs", "binary_runs")
@@ -98,28 +104,6 @@ class TunnelParams(_Record):
     @property
     def binaries(self) -> tuple[int, ...]:
         return tuple(_values(self.binary_runs))
-
-    def _stored(self) -> tuple:
-        return self.m0, self.slope_runs, self.binary_runs
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._stored() == other._stored()
-        return NotImplemented
-
-    __hash__ = _Record.__hash__
-
-    def __reduce__(self):
-        return _of_runs, self._stored()
-
-
-def _of_runs(m0: ResidueSlope, slope_runs: tuple, binary_runs: tuple) -> TunnelParams:
-    """The tuple of m0 and runs that are already maximal and of exact types."""
-    t = object.__new__(TunnelParams)
-    _set(t, "m0", m0)
-    _set(t, "slope_runs", slope_runs)
-    _set(t, "binary_runs", binary_runs)
-    return t
 
 
 def _runs(values, kind) -> tuple:
@@ -189,7 +173,8 @@ def validate(t: TunnelParams) -> TunnelClass:
 def mirror(t: TunnelParams) -> TunnelParams:
     """The parameters of the mirror-image tunnel: every slope negated, one
     negation per run."""
-    return _of_runs(t.m0.negated(), tuple([(-m, count) for m, count in t.slope_runs]), t.binary_runs)
+    slope_runs = tuple([(-m, count) for m, count in t.slope_runs])
+    return TunnelParams._new(t.m0.negated(), slope_runs, t.binary_runs)
 
 
 def is_amphichiral(t: TunnelParams) -> bool:
@@ -303,8 +288,8 @@ def parse(text: str) -> TunnelParams:
             if not cleaned:
                 raise ParseError("empty slope entry", cursor)
             try:
-                m = Fraction(cleaned)
-            except (ValueError, ZeroDivisionError):
+                m = parse_rational(cleaned)
+            except ValueError:
                 raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
             if comma < 0:
                 count, cursor = 1, stop + 1
@@ -330,7 +315,7 @@ def parse(text: str) -> TunnelParams:
             bit_runs.append((int(bit), end - start))
             start = end
         binary_runs = tuple(bit_runs)
-    return _of_runs(m0, tuple(runs), binary_runs)
+    return TunnelParams._new(m0, tuple(runs), binary_runs)
 
 
 def to_export(t: TunnelParams) -> dict[str, object]:

@@ -38,7 +38,7 @@ from math import gcd
 
 from .contfrac import EvenCF, even_cf_expand
 from .rationals import ResidueSlope, _fits, _Record, _set, residue_of
-from .tunnels import TunnelParams, _of_runs
+from .tunnels import TunnelParams
 
 
 class LinkInvariantError(ValueError):
@@ -198,4 +198,4 @@ def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
     m0, items = _first_residue(form), _walk(form)
     slopes = tuple([(_cabling_slope(k, even), count) for count, _, k, even in items])
     n = sum([count for count, _, _, _ in items])
-    return _of_runs(m0, slopes, ((0, n - 1),) if n > 1 else ())
+    return TunnelParams._new(m0, slopes, ((0, n - 1),) if n > 1 else ())

@@ -171,6 +171,23 @@ class TestDigitLimit:
         assert "(5001 characters)" in err
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("convert", "1e100000000"), "not a rational: '1e100000000'"),
+            (("classify", "[ 1/3 ], 3, 1e100000000"), "bad slope '1e100000000' (at position 11)"),
+        ],
+    )
+    def test_an_exponent_past_the_limit_fails_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+        assert time.perf_counter() - start < 1
+
+    def test_smaller_exponents_are_read(self, capsys):
+        assert run(capsys, "convert", "3.5e0") == (0, "9/2\n", "")
+        parity = "error: conversion needs an odd numerator, got 1000\n"
+        assert run(capsys, "convert", "1e3") == (1, "", parity)
+
 
 class TestConvertRange:
     def test_reference_block(self, capsys):

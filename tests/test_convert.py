@@ -23,7 +23,8 @@ from tunnelslopes import (
     word_product,
 )
 from tunnelslopes.contfrac import _even_runs, _fold_runs
-from tunnelslopes.convert import _odd, _range_pairs
+from tunnelslopes.convert import _range_pairs
+from tunnelslopes.sl2 import _odd
 
 KNOWN_CONVERSIONS = [
     (Fraction(55), Fraction(-55)),
@@ -272,7 +273,7 @@ class TestExactBoundary:
     @settings(max_examples=400)
     def test_matches_the_copying_references(self, x):
         for f, reference in [
-            (_odd, reference_odd),
+            (lambda v: _odd(v, "conversion"), reference_odd),
             (st_convert, reference_st_convert),
             (change_of_basis, reference_change_of_basis),
         ]:
@@ -283,9 +284,9 @@ class TestExactBoundary:
 
     def test_an_exact_fraction_passes_through(self):
         x = Fraction(59, 35)
-        assert _odd(x) is x
+        assert _odd(x, "conversion") is x
         sub = Sub(59, 35)
-        assert type(_odd(sub)) is Fraction and _odd(sub) == sub
+        assert type(_odd(sub, "conversion")) is Fraction and _odd(sub, "conversion") == sub
 
     def test_parity_messages(self):
         with pytest.raises(ParityError, match="^conversion needs an odd numerator, got 4/7$"):

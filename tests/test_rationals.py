@@ -1,3 +1,5 @@
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from tunnelslopes import (
     IndeterminateFormError,
     NotFiniteError,
     ResidueSlope,
+    parse_rational,
     projective_add_invert,
     render,
     residue_of,
@@ -217,3 +220,25 @@ class TestWriteOut:
             _written([((1, 2), 10**30)], "blocks")
         with pytest.raises(MemoryError):
             _written_text([(", 1/3", 10**30)])
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+class TestExponents:
+    @pytest.mark.parametrize("text", ["1e100000000", "1e4301", "1e-99999999", " 2E3187291_000 "])
+    def test_an_exponent_past_the_digit_limit_is_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^not a rational: {text!r}$"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1e3", 1000),
+            ("3.5e0", Fraction(7, 2)),
+            ("-2.5E-1", Fraction(-1, 4)),
+            ("1e4300", Fraction(10) ** 4300),
+        ],
+    )
+    def test_smaller_exponents_parse(self, text, value):
+        assert parse_rational(text) == value

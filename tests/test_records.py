@@ -291,3 +291,18 @@ def test_records_match_by_position():
 def test_infinity_survives_every_pickle_protocol():
     for n in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(ts.ResidueSlope(INFINITY), n)).is_infinite
+
+
+def test_copies_and_pickles_do_not_call_the_constructors(monkeypatch):
+    m0 = ts.ResidueSlope(Fraction(1, 3))
+    records = [ts.SL2Matrix(2, 1, 1, 1), m0, ts.TunnelParams(m0, (3, 5), (0,))]
+
+    def refuse(self, *args):
+        raise AssertionError("a copy called the checking constructor")
+
+    monkeypatch.setattr(ts.SL2Matrix, "__init__", refuse)
+    monkeypatch.setattr(ts.ResidueSlope, "__init__", refuse)
+    for record in records:
+        twins = [pickle.loads(pickle.dumps(record, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(record), copy.deepcopy(record)]:
+            assert type(twin) is type(record) and twin == record

@@ -70,7 +70,7 @@ class TestTunnelParams:
 
     def test_a_huge_run_compares_copies_and_pickles_by_its_runs(self):
         runs = ((Fraction(3), 10**15),), ((0, 10**15 - 1),)
-        t = tunnelslopes.tunnels._of_runs(residue_of(Fraction(1, 3)), *runs)
+        t = TunnelParams._new(residue_of(Fraction(1, 3)), *runs)
         twins = [pickle.loads(pickle.dumps(t, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in twins + [copy.copy(t), copy.deepcopy(t)]:
             assert type(twin) is TunnelParams and (twin.slope_runs, twin.binary_runs) == runs
