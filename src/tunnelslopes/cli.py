@@ -221,7 +221,8 @@ def main(argv=None) -> int:
         # The reader closed stdout. Point it at the null device so the flush
         # at exit cannot fail again, and exit as a shell reports a process
         # that SIGPIPE ended (128 + 13).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return 141
     except (ValueError, ArithmeticError) as exc:
         return _failed(args, exc, str(exc))

@@ -33,18 +33,15 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
-from .contfrac import even_cf_expand, sum_a
-from .sl2 import _basis, _odd
+from .contfrac import even_cf_expand
+from .sl2 import _basis, _odd, _twist
 
 
 def conversion_word(x) -> tuple[int, ...]:
     """The continued-fraction word whose value is the converted invariant."""
     x = _odd(x, "conversion")
     expansion = even_cf_expand(x)
-    lead = 2 * sum_a(expansion)
-    if x.denominator % 2 == 1:
-        lead = -lead
-    return (lead,) + tuple(-c for c in reversed(expansion.entries()[1:]))
+    return (-_twist(x, expansion.runs),) + tuple(-c for c in reversed(expansion.entries()[1:]))
 
 
 def st_convert(x) -> Fraction:

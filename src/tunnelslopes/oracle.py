@@ -54,14 +54,11 @@ def _eval_raw(word: tuple[int, ...]) -> tuple[int, int]:
     return n, d
 
 
-def enumerate_even_cfs(
-    max_len: int, max_entry: int, enforce_sign_rule: bool = True
-) -> dict[Fraction, list[tuple[int, ...]]]:
+def enumerate_even_cfs(max_len: int, max_entry: int) -> dict[Fraction, list[tuple[int, ...]]]:
     """Every constraint-satisfying even word within the bounds, grouped by value.
 
     Words are raw entry tuples with |entry| <= max_entry and at most max_len
-    entries. Disabling the sign rule is an ablation hook that should make
-    duplicates appear.
+    entries.
     """
     if max_len > 5 or max_entry > 8:
         raise ValueError("enumeration bounds are desk scale: max_len <= 5, max_entry <= 8")
@@ -74,7 +71,6 @@ def enumerate_even_cfs(
         closing_b = length % 2 == 0
         if closing_b:
             choices[-1] = [e for e in entries if e != 0]
-        sign_rule = enforce_sign_rule and closing_b
         # Words grow from the last entry leftwards with their values n/d, so
         # each suffix is folded once for all the words that end with it.
         words = [((e,), e, 1) for e in choices[-1]]
@@ -85,7 +81,7 @@ def enumerate_even_cfs(
                 ((c,) + word, c * n + d, n)
                 for word, n, d in words
                 for c in choice
-                if not (sign_rule and abs(word[0]) == 1 and c * word[0] < 0)
+                if not (closing_b and abs(word[0]) == 1 and c * word[0] < 0)
             ]
         for word, n, d in words:
             grouped.setdefault(_quotient(n, d), []).append(word)

@@ -24,13 +24,6 @@ class IndeterminateFormError(ArithmeticError):
 class _Infinity:
     """The unsigned point at infinity of the projective rational line."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "INFINITY"
 
@@ -38,7 +31,7 @@ class _Infinity:
         return self
 
     def __reduce__(self):
-        return "INFINITY"  # the module's one instance, under every pickle protocol
+        return "INFINITY"  # the module's one instance, for every pickle protocol and copy
 
 
 INFINITY = _Infinity()
@@ -259,25 +252,3 @@ def residue_of(r: ProjectiveRational) -> ResidueSlope:
     if r is INFINITY:
         return ResidueSlope(INFINITY)
     return ResidueSlope(_exact(r) % 1)
-
-
-def projective_add_invert(c: ProjectiveRational, x: ProjectiveRational) -> ProjectiveRational:
-    """c + 1/x on the projective line.
-
-    Conventions: 1/INFINITY = 0, 1/0 = INFINITY, and a finite value plus
-    INFINITY is INFINITY. The only undefined combination is c = INFINITY
-    with x = 0, which asks for INFINITY + INFINITY.
-    """
-    if x is INFINITY:
-        inverted: ProjectiveRational = Fraction(0)
-    elif x == 0:
-        inverted = INFINITY
-    else:
-        inverted = 1 / Fraction(x)
-    if c is INFINITY:
-        if inverted is INFINITY:
-            raise IndeterminateFormError("INFINITY + INFINITY is indeterminate")
-        return INFINITY
-    if inverted is INFINITY:
-        return INFINITY
-    return Fraction(c) + inverted

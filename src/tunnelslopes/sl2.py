@@ -8,8 +8,8 @@ encodes are quotients of the entries of its product (see ``word_product``).
 the even expansion in, a run of blocks (g, -g) as one closed-form matrix, so
 its cost follows the regular partial quotients of the slope rather than the
 length of the expansion. It converts its argument and checks its parity
-once, in ``_odd``, and folds on plain ints in ``_basis``: ``convert`` shares
-both.
+once, in ``_odd``, and folds on plain ints in ``_basis``, which takes its
+closing twist from ``_twist``: ``convert`` shares all three.
 
 Only the public constructor ``SL2Matrix(q, s, p, r)`` checks that the
 determinant is 1, since its entries come from outside. ``word_product``,
@@ -82,11 +82,18 @@ def word_product(exponents: Iterable[int]) -> SL2Matrix:
     return SL2Matrix._new(q, s, p, r)
 
 
+def _twist(x: Fraction, runs: tuple) -> int:
+    """The exponent t of the closing U^t of ``change_of_basis(x)``, given the
+    runs of x's expansion: 2*sum(ai), negated for an even denominator."""
+    t = 2 * sum([a * n for a, _, n in runs])
+    return t if x.denominator % 2 else -t
+
+
 def _basis(x: Fraction) -> tuple[int, int, int, int]:
     """The entries (q, s, p, r) of ``change_of_basis(x)`` for an exact
     ``Fraction`` x whose numerator the caller has checked is odd."""
     runs = _even_runs(x)
-    t = 2 * sum([a * n for a, _, n in runs]) * (1 if x.denominator % 2 else -1)
+    t = _twist(x, runs)
     q, s, p, r = _fold_runs(runs)
     return q, q * t + s, p, p * t + r
 

@@ -96,6 +96,31 @@ class TestConvert:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_repeated_closed_stdout_leaks_no_descriptor(self):
+        # main may run many times in one process; each call below finds its
+        # stdout on a fresh pipe whose reader has gone.
+        code = """if True:
+            import os, sys
+            from tunnelslopes.cli import main
+            def count():
+                return len(os.listdir("/proc/self/fd"))
+            before = count()
+            for _ in range(5):
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                os.dup2(write_end, sys.stdout.fileno())
+                os.close(write_end)
+                assert main(["convert", "55"]) == 141
+            print(before, count(), file=sys.stderr)
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=cli_env(), timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stderr.split()
+        assert after == before
+
     def test_huge_parabolic_slope(self, capsys):
         n = 10**300
         start = time.perf_counter()

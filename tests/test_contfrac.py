@@ -16,7 +16,6 @@ from tunnelslopes import (
     change_of_basis,
     conversion_word,
     even_cf_expand,
-    projective_add_invert,
     st_convert,
     sum_a,
     word_product,
@@ -24,6 +23,7 @@ from tunnelslopes import (
 from tunnelslopes.contfrac import _add_blocks, _even_runs, _fold, _fold_runs
 
 from test_acceptance import sample_odd_slopes
+from test_rationals import projective_add_invert
 
 
 def reference_fold(word):

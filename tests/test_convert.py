@@ -259,12 +259,18 @@ boundary_values = st.one_of(
 )
 
 
-def convert_pools():
-    """Both convert benchmark pools (uniform and parabolic), seed 1."""
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def convert_pools():
+    """Both convert benchmark pools (uniform and parabolic), seed 1."""
+    workloads = perfbench_workloads()
     return workloads.build_uniform(1, False) + workloads.build_parabolic(1, False)
 
 

@@ -6,6 +6,8 @@ from types import ModuleType
 
 import tunnelslopes
 
+from test_convert import perfbench_workloads
+
 
 def test_all_lists_exactly_the_public_names():
     public = {
@@ -31,3 +33,13 @@ def test_cli_import_loads_no_heavy_standard_modules():
         check=True,
     )
     assert out.stdout == "\n"
+
+
+def test_benchmark_operations_run():
+    # perfbench's checks call names the package itself does not need, such
+    # as SL2Matrix.determinant: removing one fails here, not only there.
+    workloads = perfbench_workloads()
+    for workload in workloads.WORKLOADS.values():
+        for item in workload.build(1, True)[:20]:
+            outputs, _ = workload.op(item)
+            assert workload.check(item, outputs) == [], (workload.name, item)

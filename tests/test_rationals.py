@@ -12,7 +12,6 @@ from tunnelslopes import (
     NotFiniteError,
     ResidueSlope,
     parse_rational,
-    projective_add_invert,
     render,
     residue_of,
 )
@@ -138,6 +137,29 @@ class TestExactBoundary:
         assert stored == outcome(reference_residue_value, x)
         assert outcome(lambda v: residue_of(v).value, x) == outcome(reference_residue_of, x)
         assert outcome(render, x) == outcome(lambda v: render(Fraction(v)) if v is not INFINITY else "1/0", x)
+
+
+def projective_add_invert(c, x):
+    """c + 1/x on the projective line, one step at a time in Fraction
+    arithmetic: the reference step for the package's integer folds.
+
+    Conventions: 1/INFINITY = 0, 1/0 = INFINITY, and a finite value plus
+    INFINITY is INFINITY. The only undefined combination is c = INFINITY
+    with x = 0, which asks for INFINITY + INFINITY.
+    """
+    if x is INFINITY:
+        inverted = Fraction(0)
+    elif x == 0:
+        inverted = INFINITY
+    else:
+        inverted = 1 / Fraction(x)
+    if c is INFINITY:
+        if inverted is INFINITY:
+            raise IndeterminateFormError("INFINITY + INFINITY is indeterminate")
+        return INFINITY
+    if inverted is INFINITY:
+        return INFINITY
+    return Fraction(c) + inverted
 
 
 class TestProjectiveAddInvert:

@@ -291,6 +291,12 @@ def test_records_match_by_position():
 def test_infinity_survives_every_pickle_protocol():
     for n in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(ts.ResidueSlope(INFINITY), n)).is_infinite
+    # Copies, like pickles, come back as the module's one instance.
+    residue = ts.ResidueSlope(INFINITY)
+    for value in [INFINITY, residue.value]:
+        assert copy.copy(value) is INFINITY
+        assert copy.deepcopy(value) is INFINITY
+    assert copy.deepcopy(residue).value is INFINITY
 
 
 def test_copies_and_pickles_do_not_call_the_constructors(monkeypatch):
