@@ -5,9 +5,9 @@ result per line, printed as soon as it is computed. Errors go to stderr and
 exit nonzero; a reader that closes stdout early ends the command quietly with
 status 141. Arguments may be wrapped in parentheses, so `convert "(59/35)"`
 works as written; a negative value may also be bare, as in `convert -59/35`.
-Arguments are read under Python's int/str digit limit, so an over-long
-integer is a short error; results are printed with the limit lifted, so an
-answer longer than its input still prints.
+Each subparser sets a ``read``, which ``main`` runs under Python's int/str
+digit limit, so an over-long integer is a short error. ``main`` then lifts
+the limit once for ``func``, so a long answer still prints, and restores it.
 """
 
 from __future__ import annotations
@@ -60,32 +60,19 @@ def _parse_two_bridge(text: str):
     return _integer(text), 1
 
 
-def _lift_digit_limit() -> None:
-    """Lift the int/str digit limit once a command has read its arguments
-    (``main`` restores it); interpreters before 3.10.7 have no limit."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
-def cmd_convert(args: argparse.Namespace) -> int:
-    x = parse_rational(_strip_parens(args.value))
-    _lift_digit_limit()
+def cmd_convert(x: Fraction, args: argparse.Namespace) -> int:
     print(render(st_convert(x)))
     return 0
 
 
-def cmd_convert_range(args: argparse.Namespace) -> int:
-    bounds = (_integer(args.p), _integer(args.q_lo), _integer(args.q_hi))
-    _lift_digit_limit()
+def cmd_convert_range(bounds: tuple[int, int, int], args: argparse.Namespace) -> int:
     for left, right in _range_pairs(*bounds):
         print(f"{render(left)}, {render(right)}")
     return 0
 
 
-def cmd_slopes(args: argparse.Namespace) -> int:
-    b, a = _parse_two_bridge(_strip_parens(args.value))
-    _lift_digit_limit()
-    forms = normalize_input(b, a) if args.both else [make_form(b, a)]
+def cmd_slopes(invariant: tuple[int, int], args: argparse.Namespace) -> int:
+    forms = normalize_input(*invariant) if args.both else [make_form(*invariant)]
     for form in forms:
         print(_slope_text(two_bridge_slopes(form)))
     return 0
@@ -102,9 +89,7 @@ def _classification_line(t: TunnelParams, cls: TunnelClass) -> str:
     return line
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    t = parse(args.params)
-    _lift_digit_limit()
+def cmd_classify(t: TunnelParams, args: argparse.Namespace) -> int:
     cls = validate(t)
     if args.json:
         print(json.dumps(_export(t, cls)))
@@ -113,9 +98,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mirror(args: argparse.Namespace) -> int:
-    t = parse(args.params)
-    _lift_digit_limit()
+def cmd_mirror(t: TunnelParams, args: argparse.Namespace) -> int:
     # Negating the slopes keeps every parity, so the mirror has t's class.
     cls = validate(t)
     mirrored = mirror(t)
@@ -126,9 +109,7 @@ def cmd_mirror(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_link(args: argparse.Namespace) -> int:
-    t = parse(args.params)
-    _lift_digit_limit()
+def cmd_link(t: TunnelParams, args: argparse.Namespace) -> int:
     cls = validate(t)
     number = _linking_number(t, cls)
     if args.json:
@@ -138,7 +119,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selfcheck(args: argparse.Namespace) -> int:
+def cmd_selfcheck(_, args: argparse.Namespace) -> int:
     reports = selfcheck()
     for report in reports:
         print(report.summary())
@@ -163,13 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert a slope invariant of a knot tunnel")
     p.add_argument("value", help="rational with odd numerator, e.g. 55 or (59/35)")
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(read=lambda args: parse_rational(_strip_parens(args.value)), func=cmd_convert)
 
     p = sub.add_parser("convert-range", help="convert every odd q/p in a range of q")
     p.add_argument("p")
     p.add_argument("q_lo")
     p.add_argument("q_hi")
-    p.set_defaults(func=cmd_convert_range)
+    p.set_defaults(
+        read=lambda args: (_integer(args.p), _integer(args.q_lo), _integer(args.q_hi)),
+        func=cmd_convert_range,
+    )
 
     p = sub.add_parser("slopes", help="cabling slopes of a 2-bridge knot tunnel")
     p.add_argument("value", help="invariant b/a with b odd and |b/a| > 1, e.g. (33/19)")
@@ -178,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="normalize a mod b and print the sequence for both admissible residues",
     )
-    p.set_defaults(func=cmd_slopes)
+    p.set_defaults(read=lambda args: _parse_two_bridge(_strip_parens(args.value)), func=cmd_slopes)
 
     for name, func, help_text in (
         ("classify", cmd_classify, "validate and classify a cabling-parameter tuple"),
@@ -188,10 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("params", help="tuple text, e.g. '[ 1/3 ], 3, 5/3 ; 0'")
         p.add_argument("--json", action="store_true", help="emit the JSON export instead")
-        p.set_defaults(func=func)
+        p.set_defaults(read=lambda args: parse(args.params), func=func)
 
     p = sub.add_parser("selfcheck", help="run the built-in certification oracles")
-    p.set_defaults(func=cmd_selfcheck)
+    p.set_defaults(read=lambda args: None, func=cmd_selfcheck)
     for p in sub.choices.values():  # else argparse takes -59/35 for an option
         p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
@@ -214,7 +198,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
-        status = args.func(args)
+        value = args.read(args)
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(0)
+        status = args.func(value, args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import even_cf_expand
+from .rationals import _shown
 from .sl2 import _basis, _odd, _twist
 
 
@@ -59,9 +60,9 @@ def _range_pairs(p: int, q_lo: int, q_hi: int) -> Iterator[tuple[Fraction, Fract
     """The pairs of ``convert_range`` one at a time, for the command line to
     print as they come; the bounds are checked here, before any pair."""
     if p <= 0:
-        raise ValueError(f"denominator must be positive, got {p}")
+        raise ValueError(f"denominator must be positive, got {_shown(p)}")
     if q_lo > q_hi:
-        raise ValueError(f"empty range: {q_lo} > {q_hi}")
+        raise ValueError(f"empty range: {_shown(q_lo)} > {_shown(q_hi)}")
     start = q_lo if q_lo % 2 == 1 else q_lo + 1
     xs = (Fraction(q, p) for q in range(start, q_hi + 1, 2) if gcd(q, p) == 1)
     return ((x, st_convert(x)) for x in xs)

@@ -123,7 +123,7 @@ def _fits(pieces: list, what: str, item_bytes: int) -> None:
     for part, count in pieces:
         size += len(part) * count * item_bytes
         if size > _MEMORY:
-            raise MemoryError(f"a run of {count} {what} cannot be written out")
+            raise MemoryError(f"a run of {_shown(count)} {what} cannot be written out")
 
 
 def _written(pieces: list, what: str = "equal values") -> list:
@@ -177,6 +177,15 @@ def render(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _shown(x) -> str:
+    """str(x) for an error message, or a fixed note where x holds an integer
+    longer than the int/str digit limit lets str write out."""
+    try:
+        return str(x)
+    except ValueError:
+        return "(a value past the int/str digit limit)"
+
+
 def _excerpt(text: str) -> str:
     """repr(text) for error messages, cut to its ends and length when long."""
     if len(text) <= 60:
@@ -219,7 +228,7 @@ class ResidueSlope(_Record):
         if value is not INFINITY:
             value = _exact(value)
             if not 0 <= value.numerator < value.denominator:
-                raise ValueError(f"residue representative {value} is outside [0, 1)")
+                raise ValueError(f"residue representative {_shown(value)} is outside [0, 1)")
         _set(self, "value", value)
 
     @property

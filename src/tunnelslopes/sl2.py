@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .contfrac import _even_runs, _fold, _fold_runs
-from .rationals import ProjectiveRational, _exact, _quotient, _Record, _set
+from .rationals import ProjectiveRational, _exact, _quotient, _Record, _set, _shown
 
 
 class ParityError(ValueError):
@@ -36,7 +36,7 @@ def _odd(x, operation: str) -> Fraction:
     """x as an exact Fraction, which operation needs with an odd numerator."""
     x = _exact(x)
     if x.numerator % 2 == 0:
-        raise ParityError(f"{operation} needs an odd numerator, got {x}")
+        raise ParityError(f"{operation} needs an odd numerator, got {_shown(x)}")
     return x
 
 
@@ -47,7 +47,7 @@ class SL2Matrix(_Record):
 
     def __init__(self, q: int, s: int, p: int, r: int):
         if q * r - s * p != 1:
-            raise ValueError(f"determinant of ({q} {s} / {p} {r}) is not 1")
+            raise ValueError(f"determinant of ({_shown(q)} {_shown(s)} / {_shown(p)} {_shown(r)}) is not 1")
         _set(self, "q", q)
         _set(self, "s", s)
         _set(self, "p", p)

@@ -21,6 +21,7 @@ from .rationals import (
     _excerpt,
     _Record,
     _set,
+    _shown,
     _written,
     _written_text,
     parse_rational,
@@ -128,11 +129,12 @@ def validate(t: TunnelParams) -> TunnelClass:
     n, bits = _length(slope_runs), _length(binary_runs)
     for s, _ in binary_runs:
         if s not in (0, 1):
-            raise ValidationError("binary-values", f"binaries must be 0 or 1, got {s}")
+            raise ValidationError("binary-values", f"binaries must be 0 or 1, got {_shown(s)}")
     expected = max(n - 1, 0)
     if bits != expected:
         raise ValidationError(
-            "binaries-length", f"{n} cabling slopes need {expected} binaries, got {bits}"
+            "binaries-length",
+            f"{_shown(n)} cabling slopes need {_shown(expected)} binaries, got {_shown(bits)}",
         )
     if t.m0.is_infinite:
         if n:
@@ -154,7 +156,7 @@ def validate(t: TunnelParams) -> TunnelClass:
     if q0 % 2 == 0:
         raise ValidationError(
             "m0-denominator-parity",
-            f"m0 = {t.m0} has even denominator, so its cabling ends the sequence",
+            f"m0 = {_shown(t.m0)} has even denominator, so its cabling ends the sequence",
         )
     i = 1  # the index of the run's first slope
     for m, count in slope_runs:
@@ -162,7 +164,7 @@ def validate(t: TunnelParams) -> TunnelClass:
         if m.numerator % 2 == 0 and i < n:
             raise ValidationError(
                 "intermediate-numerator-parity",
-                f"m{i} = {render(m)} has even numerator before the final cabling",
+                f"m{_shown(i)} = {_shown(m)} has even numerator before the final cabling",
             )
         i += count
     target = Target.KNOT if slope_runs[-1][0].numerator % 2 == 1 else Target.LINK

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import EvenCF, even_cf_expand
-from .rationals import ResidueSlope, _fits, _Record, _set, residue_of
+from .rationals import ResidueSlope, _fits, _Record, _set, _shown, residue_of
 from .tunnels import TunnelParams
 
 
@@ -96,17 +96,17 @@ def make_form(b: int, a: int) -> TwoBridgeForm:
         b, a = -b, -a
     if b % 2 == 0:
         raise LinkInvariantError(
-            f"b = {b} is even: a 2-bridge link has only its upper and lower tunnels"
+            f"b = {_shown(b)} is even: a 2-bridge link has only its upper and lower tunnels"
         )
     if b == 1:
         raise TrivialKnotError("b = 1 names the trivial knot")
     if a == 0:
         raise ValueError("a reduced to 0: b/a is degenerate")
     if gcd(b, abs(a)) != 1:
-        raise ValueError(f"{b} and {a} are not coprime")
+        raise ValueError(f"{_shown(b)} and {_shown(a)} are not coprime")
     if abs(a) >= b:
         raise ValueError(
-            f"|{b}/{a}| does not exceed 1: normalize a by multiples of {b} first"
+            f"|{_shown(b)}/{_shown(a)}| does not exceed 1: normalize a by multiples of {_shown(b)} first"
         )
     return TwoBridgeForm(b, a, even_cf_expand(Fraction(b, a)))
 
@@ -117,8 +117,6 @@ def normalize_input(b: int, a: int) -> list[TwoBridgeForm]:
     For every valid input exactly two residues qualify, one positive and one
     negative; the positive one comes first. ``make_form`` validates each.
     """
-    if b < 0:
-        b, a = -b, -a
     residue = a % b if b else a  # make_form rejects b = 0 as even
     return [make_form(b, residue), make_form(b, residue - b)]
 

@@ -181,6 +181,11 @@ class TestDigitLimit:
             ("slopes", "(33/19)"),
             ("classify", "[ 1/3 ], 3, 5/3 ; 0"),
             ("convert", "1" * 5001),
+            ("convert-range", "100102", "17255", "17265"),
+            ("mirror", "[ 1/3 ], 3, 5/3 ; 0"),
+            ("link", "[ 1/2 ]"),
+            ("selfcheck",),
+            ("slopes", "1" * 5001),
         ],
     )
     def test_limit_restored_after_main(self, capsys, argv):
@@ -445,6 +450,7 @@ class TestTupleCommands:
         assert code == 1
         assert "position" in err
 
+    @pytest.mark.parametrize("verb", ["classify", "mirror", "link"])
     @pytest.mark.parametrize(
         "params,prefix",
         [
@@ -454,8 +460,8 @@ class TestTupleCommands:
             ("[ 1/" + "1" * 5001 + " ]", "error: bad residue '1111"),
         ],
     )
-    def test_huge_bad_token_error_is_short(self, capsys, params, prefix):
-        code, _, err = run(capsys, "classify", params)
+    def test_huge_bad_token_error_is_short(self, capsys, verb, params, prefix):
+        code, _, err = run(capsys, verb, params)
         assert code == 1
         assert err.startswith(prefix)
         assert "(5001 characters)" in err

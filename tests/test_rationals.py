@@ -9,11 +9,22 @@ from hypothesis import given, settings, strategies as st
 from tunnelslopes import (
     INFINITY,
     IndeterminateFormError,
+    LinkInvariantError,
     NotFiniteError,
+    ParityError,
     ResidueSlope,
+    SL2Matrix,
+    TunnelParams,
+    ValidationError,
+    convert_range,
+    make_form,
     parse_rational,
     render,
     residue_of,
+    serialize,
+    st_convert,
+    two_bridge_slopes,
+    validate,
 )
 from tunnelslopes import rationals
 from tunnelslopes.rationals import _BLOCK, _exact, _written, _written_text
@@ -264,3 +275,70 @@ class TestExponents:
     )
     def test_smaller_exponents_parse(self, text, value):
         assert parse_rational(text) == value
+
+
+HUGE = 10**5000  # 5001 digits, past the default 4300-digit int/str limit
+THIRD = ResidueSlope(Fraction(1, 3))
+LONG_RUN = (Fraction(3), HUGE)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize(
+    "call, error, words",
+    [
+        pytest.param(lambda: ResidueSlope(Fraction(HUGE + 1, HUGE)), ValueError, "outside [0, 1)", id="residue"),
+        pytest.param(lambda: SL2Matrix(HUGE, 0, 0, 1), ValueError, "is not 1", id="matrix"),
+        pytest.param(lambda: st_convert(Fraction(2 * HUGE, 3)), ParityError, "odd numerator", id="convert"),
+        pytest.param(
+            lambda: validate(TunnelParams(THIRD, (3, 5), (2 * HUGE,))),
+            ValidationError,
+            "binary-values",
+            id="bit",
+        ),
+        pytest.param(
+            lambda: validate(TunnelParams._new(THIRD, (LONG_RUN,), ())),
+            ValidationError,
+            "binaries-length",
+            id="bit-count",
+        ),
+        pytest.param(
+            lambda: validate(TunnelParams(ResidueSlope(Fraction(1, 2 * HUGE)), (3,))),
+            ValidationError,
+            "m0-denominator-parity",
+            id="m0",
+        ),
+        pytest.param(
+            lambda: validate(TunnelParams(THIRD, (2 * HUGE, 3), (0,))),
+            ValidationError,
+            "intermediate-numerator-parity",
+            id="slope",
+        ),
+        pytest.param(
+            lambda: validate(
+                TunnelParams._new(THIRD, (LONG_RUN, (Fraction(2), 1), (Fraction(3), 1)), ((0, HUGE + 1),))
+            ),
+            ValidationError,
+            "intermediate-numerator-parity",
+            id="slope-index",
+        ),
+        pytest.param(lambda: make_form(2 * HUGE, 3), LinkInvariantError, "is even", id="even-b"),
+        pytest.param(lambda: make_form(3 * HUGE + 3, 3), ValueError, "not coprime", id="coprime"),
+        pytest.param(lambda: make_form(HUGE + 1, HUGE + 2), ValueError, "does not exceed 1", id="unnormalized"),
+        pytest.param(lambda: convert_range(-HUGE, 1, 3), ValueError, "must be positive", id="range-p"),
+        pytest.param(lambda: convert_range(3, HUGE, 1), ValueError, "empty range", id="range-q"),
+        pytest.param(
+            lambda: serialize(two_bridge_slopes(make_form(HUGE + 1, HUGE - 1))),
+            MemoryError,
+            "cannot be written out",
+            id="write-out",
+        ),
+    ],
+)
+def test_a_message_past_the_digit_limit_keeps_its_exception(call, error, words):
+    # Under the default limit str() of a 5001-digit value raises a bare
+    # ValueError; each message must still reach its caller as its own class.
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert words in str(info.value)
+    assert getattr(info.value, "rule", words) == words  # a ValidationError keeps its rule
