@@ -196,11 +196,10 @@ def _failed(args: argparse.Namespace, exc: Exception, message: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    digit_limit = sys.get_int_max_str_digits()
     try:
         value = args.read(args)
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         status = args.func(value, args)
         sys.stdout.flush()
         return status
@@ -217,8 +216,7 @@ def main(argv=None) -> int:
         # An expansion in a few runs can stand for more entries than memory holds.
         return _failed(args, exc, "out of memory: the result is too large to write out")
     finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -106,11 +106,9 @@ def _memory() -> int:
 
 
 # Records store runs (part, count) that can stand for more items than memory
-# holds. A write-out with a run of more than _BLOCK copies is built only once
-# it is known to fit in the machine's memory: a larger one could only fail,
-# and where the system grants memory it cannot back, fail by having the
-# process killed. Short runs, at most _BLOCK copies of the pieces a caller
-# holds, are written without the check.
+# holds. Every write-out of runs is built only once it is known to fit in the
+# machine's memory: a larger one could only fail, and where the system grants
+# memory it cannot back, fail by having the process killed.
 _MEMORY = _memory()
 _BLOCK = 1024
 
@@ -129,12 +127,9 @@ def _fits(pieces: list, what: str, item_bytes: int) -> None:
 def _written(pieces: list, what: str = "equal values") -> list:
     """The items of part * count over pieces (part, count) of tuples, as a
     list; an item repeated by a run is one shared object."""
+    _fits(pieces, what, 8)
     values: list = []
-    unchecked = True
     for part, count in pieces:
-        if count > _BLOCK and unchecked:
-            _fits(pieces, what, 8)
-            unchecked = False
         values += part * count
     return values
 
@@ -143,13 +138,10 @@ def _written_text(pieces: list) -> str:
     """text * count over pieces (text, count) of ASCII strs, joined. A long
     run is joined from copies of one shared block of _BLOCK texts, so that
     building the result takes little more memory than the result."""
+    _fits(pieces, "equal values", 1)
     parts = []
-    unchecked = True
     for text, count in pieces:
         if count > _BLOCK:
-            if unchecked:
-                _fits(pieces, "equal values", 1)
-                unchecked = False
             blocks, count = divmod(count, _BLOCK)
             parts += [text * _BLOCK] * blocks
         parts.append(text * count)
@@ -200,7 +192,7 @@ def parse_rational(text: str) -> Fraction:
     limit never sees."""
     try:
         if "e" in text or "E" in text:
-            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+            limit = sys.get_int_max_str_digits()
             if limit and abs(int(text[max(text.rfind("e"), text.rfind("E")) + 1 :])) > limit:
                 raise ValueError
         return Fraction(text.strip())

@@ -169,8 +169,8 @@ def _walk(form: TwoBridgeForm) -> list[tuple[int, int, int, bool]]:
     return items
 
 
-# The bytes one cabling takes in the result of cabling_steps: its slots in the
-# list and the tuple, its CablingStep (56 B, slotted) and its index int (28 B).
+# The bytes one cabling takes in cabling_steps' result: its tuple slot, 8 B for
+# the tuple's growth, its CablingStep (56 B, slotted) and its index int (28 B).
 _STEP_BYTES = 8 + 8 + 56 + 28
 
 
@@ -182,11 +182,11 @@ def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep,
     m0, items = _first_residue(form), _walk(form)
     n = sum(item[0] for item in items)
     _fits([((None,), n)], "cablings", _STEP_BYTES)
-    steps = [None] * n
-    cablings = ((i, k, even) for count, top, k, even in items for i in range(top, top - count, -1))
-    for at, (i, k, even) in enumerate(cablings):
-        steps[at] = CablingStep(i, k, "even" if even else "odd")
-    return m0, tuple(steps)
+    return m0, tuple(
+        CablingStep(i, k, "even" if even else "odd")
+        for count, top, k, even in items
+        for i in range(top, top - count, -1)
+    )
 
 
 def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:

@@ -171,7 +171,6 @@ class TestNegativeValues:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "299/35\n", "")
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
 class TestDigitLimit:
     @pytest.mark.parametrize(
         "argv",

@@ -77,6 +77,7 @@ class TestResidues:
 
     def test_infinity_passes_through(self):
         assert residue_of(INFINITY).is_infinite
+        assert -INFINITY is INFINITY
 
     def test_str_forms(self):
         assert str(residue_of(Fraction(1, 3))) == "[ 1/3 ]"
@@ -85,6 +86,7 @@ class TestResidues:
 
     def test_denominator_is_stored_q(self):
         assert residue_of(Fraction(-1, 3)).denominator == 3
+        assert residue_of(Fraction(2, 3)).numerator == 2
 
     def test_infinite_residue_has_no_fraction_parts(self):
         with pytest.raises(NotFiniteError):
@@ -232,16 +234,29 @@ class TestWriteOut:
         assert _written_text(pieces) == "".join(text * count for text, count in pieces)
 
     def test_too_large_is_refused_before_its_long_runs_are_built(self, monkeypatch):
-        monkeypatch.setattr(rationals, "_MEMORY", 10**6)
-        for write, pieces in [
-            (_written_text, [(", 1/3", 10**5), (", 13/5", 10**5)]),
-            (_written, [((1,), 10**5), ((2,), 10**5)]),
+        # Under 10**6 B, 0.5 and 0.8 MB fit, 1.1 and 1.6 MB do not. Under 10**4 B,
+        # one run of 1000 fits, but not 20 of them, though none is longer than _BLOCK.
+        for memory, count, texts, parts in [
+            (10**6, 10**5, [", 1/3", ", 13/5"], [(1,), (2,)]),
+            (10**4, 1000, [", 1/3"] * 20, [(i,) for i in range(20)]),
         ]:
-            write([pieces[0]])  # 0.5 and 0.8 MB fit, 1.1 and 1.6 MB do not
-            with pytest.raises(MemoryError, match=f"^a run of {10**5} equal values cannot be written out$"):
-                traced_peak(write, pieces)
-            _, peak = traced_peak(lambda: pytest.raises(MemoryError, write, pieces))
-            assert peak < 4096
+            monkeypatch.setattr(rationals, "_MEMORY", memory)
+            for write, pieces in [
+                (_written_text, [(text, count) for text in texts]),
+                (_written, [(part, count) for part in parts]),
+            ]:
+                write([pieces[0]])
+                with pytest.raises(MemoryError, match=f"^a run of {count} equal values cannot be written out$"):
+                    traced_peak(write, pieces)
+                _, peak = traced_peak(lambda: pytest.raises(MemoryError, write, pieces))
+                assert peak < 4096
+
+    def test_unknown_memory_is_taken_as_unbounded(self, monkeypatch):
+        def sysconf(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(rationals.os, "sysconf", sysconf)
+        assert rationals._memory() == sys.maxsize
 
     def test_a_long_text_takes_little_more_than_itself(self):
         text, peak = traced_peak(_written_text, [("[ 1/3 ]", 1), (", 3", 10**6), (", 5/2", 1)])
@@ -255,7 +270,6 @@ class TestWriteOut:
             _written_text([(", 1/3", 10**30)])
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
 class TestExponents:
     @pytest.mark.parametrize("text", ["1e100000000", "1e4301", "1e-99999999", " 2E3187291_000 "])
     def test_an_exponent_past_the_digit_limit_is_refused_at_once(self, text):
@@ -282,7 +296,6 @@ THIRD = ResidueSlope(Fraction(1, 3))
 LONG_RUN = (Fraction(3), HUGE)
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
 @pytest.mark.parametrize(
     "call, error, words",
     [

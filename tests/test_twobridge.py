@@ -780,9 +780,9 @@ def test_cabling_steps_sizes_its_records(monkeypatch):
 
 
 def test_cabling_steps_memory_per_step():
-    # 200001/199999 has 49 999 cablings after the first. Each costs its slot
-    # in the list and the tuple, its index int and a slotted CablingStep:
-    # about 104 bytes (144 as a frozen dataclass with an instance dict).
+    # 200001/199999 has 49 999 cablings after the first. Each costs its tuple
+    # slot and the tuple's growth, its index int and a slotted CablingStep:
+    # about 97 bytes (144 as a frozen dataclass with an instance dict).
     form = make_form(200001, 199999)
     cabling_steps(make_form(33, 19))
     tracemalloc.start()
