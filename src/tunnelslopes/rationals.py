@@ -114,14 +114,12 @@ _BLOCK = 1024
 
 
 def _fits(pieces: list, what: str, item_bytes: int) -> None:
-    """Raise MemoryError, naming the run of what at which it passes, when
-    part * count over pieces (part, count), at item_bytes per item, would
-    take more than the machine's memory."""
-    size = 0
-    for part, count in pieces:
-        size += len(part) * count * item_bytes
-        if size > _MEMORY:
-            raise MemoryError(f"a run of {_shown(count)} {what} cannot be written out")
+    """Raise MemoryError, naming the longest run of what, when part * count
+    over pieces (part, count), at item_bytes per item, would take more than
+    the machine's memory."""
+    if sum([len(part) * count for part, count in pieces]) * item_bytes > _MEMORY:
+        longest = max([count for _, count in pieces])
+        raise MemoryError(f"a run of {_shown(longest)} {what} cannot be written out")
 
 
 def _written(pieces: list, what: str = "equal values") -> list:
@@ -156,17 +154,10 @@ def _exact(x) -> Fraction:
 
 
 def render(x) -> str:
-    """Stable text form: integers bare, otherwise numerator/denominator.
-
-    Accepts INFINITY (rendered 1/0), ints and any rational; a ``Fraction`` is
-    formatted as it is, without being rebuilt.
-    """
-    if x is INFINITY:
-        return "1/0"
-    f = _exact(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """Stable text form: str of x as an exact Fraction (an integer bare,
+    otherwise numerator/denominator), or 1/0 for INFINITY; a ``Fraction`` is
+    written as it is, without being rebuilt."""
+    return "1/0" if x is INFINITY else str(_exact(x))
 
 
 def _shown(x) -> str:
@@ -240,9 +231,7 @@ class ResidueSlope(_Record):
         return self.value.denominator
 
     def negated(self) -> "ResidueSlope":
-        if self.is_infinite:
-            return self
-        return ResidueSlope((-self.value) % 1)
+        return residue_of(-self.value)
 
     def __str__(self) -> str:
         return f"[ {render(self.value)} ]"
@@ -250,6 +239,4 @@ class ResidueSlope(_Record):
 
 def residue_of(r: ProjectiveRational) -> ResidueSlope:
     """The class of r mod 1, with infinity passing through unchanged."""
-    if r is INFINITY:
-        return ResidueSlope(INFINITY)
-    return ResidueSlope(_exact(r) % 1)
+    return ResidueSlope._new(r if r is INFINITY else _exact(r) % 1)

@@ -231,12 +231,12 @@ def _stripped(text: str, start: int, stop: int) -> tuple[int, int]:
 
 
 def _equal_tokens(text: str, token: str, at: int, stop: int) -> tuple[int, int]:
-    """(count, end) of the stretch of slope tokens equal to token whose first
-    one ends at the comma before text[at], each later one ending at a ',' or
-    at stop: end is just past the comma after the last one, or stop + 1 when
-    the stretch ends at stop. The text is compared in blocks that double up
-    to 4096 characters and then halve, so a long stretch costs a Python step
-    per 4096 characters and no copy of itself."""
+    """(count, end) of the stretch of slope tokens equal to token, the first
+    ending at at - 1 and each later one at a ',' or at stop: end is just past
+    the comma after the last one, or stop + 1 when the stretch ends at stop,
+    so a lone last token (at = stop + 1) gives (1, stop + 1). The text is
+    compared in blocks that double up to 4096 characters and then halve, so a
+    long stretch costs a Python step per 4096 characters and no copy of it."""
     width = len(token) + 1
     count, block = 1, token + ","
     while text.startswith(block, at, stop):
@@ -285,7 +285,8 @@ def parse(text: str) -> TunnelParams:
         cursor = start + 1
         while cursor <= stop:
             comma = text.find(",", cursor, stop)
-            token = text[cursor : stop if comma < 0 else comma]
+            end = stop if comma < 0 else comma
+            token = text[cursor:end]
             cleaned = token.strip()
             if not cleaned:
                 raise ParseError("empty slope entry", cursor)
@@ -293,10 +294,7 @@ def parse(text: str) -> TunnelParams:
                 m = parse_rational(cleaned)
             except ValueError:
                 raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
-            if comma < 0:
-                count, cursor = 1, stop + 1
-            else:
-                count, cursor = _equal_tokens(text, token, comma + 1, stop)
+            count, cursor = _equal_tokens(text, token, end + 1, stop)
             if runs and runs[-1][0] == m:  # an equal value written another way
                 runs[-1] = (runs[-1][0], runs[-1][1] + count)
             else:

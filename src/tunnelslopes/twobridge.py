@@ -25,8 +25,8 @@ run, not per entry or per twist. ``cabling_steps`` records each cabling as
 a ``CablingStep``, and only its result grows with the twists;
 ``two_bridge_slopes`` builds each item's slope once, in lowest terms, and
 returns a ``TunnelParams`` of one slope run per item. ``make_form`` is the
-one validation of b/a, ``_first_residue`` and ``_walk`` the one place a
-zero twist count is rejected, and the records are not checked again.
+one validation of b/a, ``_walk`` the one place a zero twist count is
+rejected, and the records are not checked again.
 ``oracle.unit_rewrite_check`` certifies the walk against the unit rewrite,
 one unit per twist, which only the oracle writes out.
 """
@@ -63,7 +63,7 @@ def _cabling_slope(k: int, even: bool) -> Fraction:
 class CablingStep(_Record):
     """One cabling beyond the first: its unit index, twist count k and strand
     parity ("even" or "odd"), from which the slope 2 + 1/k or -2 + 1/k is
-    derived; a plain record of what the walk yields, which rejects k = 0."""
+    derived; a plain record that checks nothing (the walk rejects k = 0)."""
 
     __slots__ = ("index", "k", "parity")
 
@@ -121,20 +121,15 @@ def normalize_input(b: int, a: int) -> list[TwoBridgeForm]:
     return [make_form(b, residue), make_form(b, residue - b)]
 
 
-def _first_residue(form: TwoBridgeForm) -> ResidueSlope:
-    a_last, b_last, _ = form.expansion.runs[-1]
+def _walk(form: TwoBridgeForm) -> tuple[ResidueSlope, list[tuple[int, int, int, bool]]]:
+    """(m0, items): the first-cabling residue, then the maximal runs of equal
+    cablings after it in construction order as (count, top, k, even): a run's
+    length, highest twist index, twist count and whether its parity is even."""
+    runs = form.expansion.runs
+    a_last, b_last, _ = runs[-1]
     k_first = b_last - (a_last < 0)
     if k_first == 0:
         raise CablingContradictionError("first cabling has twist count 0")
-    return residue_of(Fraction(k_first, 2 * k_first + 1))
-
-
-def _walk(form: TwoBridgeForm) -> list[tuple[int, int, int, bool]]:
-    """The maximal runs of equal cablings after the first, in construction
-    order, as (count, top, k, even): a run's length, its highest twist
-    index, its twist count and whether its strand parity is even."""
-    runs = form.expansion.runs
-    b_last = runs[-1][1]
     items: list = []
     i = sum([abs(a) * n for a, _, n in runs]) - 1  # the next twist index, downwards
 
@@ -166,7 +161,7 @@ def _walk(form: TwoBridgeForm) -> list[tuple[int, int, int, bool]]:
         if j:
             a_lower, b_lower, _ = runs[j - 1]
             cable(1, 2 * b_lower + (e + (1 if a_lower > 0 else -1)) // 2, even)
-    return items
+    return residue_of(Fraction(k_first, 2 * k_first + 1)), items
 
 
 # The bytes one cabling takes in cabling_steps' result: its tuple slot, 8 B for
@@ -179,7 +174,7 @@ def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep,
     the result, records and all, is sized from the walk's counts before any
     step is built, so a form with more cablings than memory holds fails at
     once with ``MemoryError``."""
-    m0, items = _first_residue(form), _walk(form)
+    m0, items = _walk(form)
     n = sum(item[0] for item in items)
     _fits([((None,), n)], "cablings", _STEP_BYTES)
     return m0, tuple(
@@ -193,7 +188,7 @@ def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
     """The full cabling-parameter tuple of the knot's depth-one tunnel, one
     run of equal slopes per walk item and one Fraction per run, so it costs
     O(runs) however many cablings there are."""
-    m0, items = _first_residue(form), _walk(form)
+    m0, items = _walk(form)
     slopes = tuple([(_cabling_slope(k, even), count) for count, _, k, even in items])
     n = sum([count for count, _, _, _ in items])
     return TunnelParams._new(m0, slopes, ((0, n - 1),) if n > 1 else ())

@@ -125,6 +125,15 @@ def reference_residue_of(r):
     return reference_residue_value(INFINITY if r is INFINITY else Fraction(r) % 1)
 
 
+def reference_render(x):
+    """render's text as the package once formatted it: the numerator alone
+    when the denominator is 1, else numerator/denominator."""
+    if x is INFINITY:
+        return "1/0"
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
 residue_inputs = st.one_of(
     st.integers(-5, 5),
     st.booleans(),
@@ -149,7 +158,9 @@ class TestExactBoundary:
         stored = outcome(lambda v: ResidueSlope(v).value, x)
         assert stored == outcome(reference_residue_value, x)
         assert outcome(lambda v: residue_of(v).value, x) == outcome(reference_residue_of, x)
-        assert outcome(render, x) == outcome(lambda v: render(Fraction(v)) if v is not INFINITY else "1/0", x)
+        negated = outcome(lambda v: residue_of(v).negated().value, x)
+        assert negated == outcome(lambda v: reference_residue_of(INFINITY if v is INFINITY else -Fraction(v)), x)
+        assert outcome(render, x) == outcome(reference_render, x)
 
 
 def projective_add_invert(c, x):
@@ -235,21 +246,24 @@ class TestWriteOut:
 
     def test_too_large_is_refused_before_its_long_runs_are_built(self, monkeypatch):
         # Under 10**6 B, 0.5 and 0.8 MB fit, 1.1 and 1.6 MB do not. Under 10**4 B,
-        # one run of 1000 fits, but not 20 of them, though none is longer than _BLOCK.
-        for memory, count, texts, parts in [
-            (10**6, 10**5, [", 1/3", ", 13/5"], [(1,), (2,)]),
-            (10**4, 1000, [", 1/3"] * 20, [(i,) for i in range(20)]),
+        # one run of 1000 fits, but not 20 of them, though none is longer than
+        # _BLOCK. The message names the longest run, also where the total
+        # passes the budget only at a later, shorter one: 0.8 + 0.3 MB of text,
+        # 0.8 + 0.24 MB of items.
+        for memory, write, pieces, longest in [
+            (10**6, _written_text, [(", 1/3", 10**5), (", 13/5", 10**5)], 10**5),
+            (10**6, _written, [((1,), 10**5), ((2,), 10**5)], 10**5),
+            (10**4, _written_text, [(", 1/3", 1000)] * 20, 1000),
+            (10**4, _written, [((i,), 1000) for i in range(20)], 1000),
+            (10**6, _written_text, [("ab", 4 * 10**5), ("c", 3 * 10**5)], 4 * 10**5),
+            (10**6, _written, [((1,), 10**5), ((2,), 3 * 10**4)], 10**5),
         ]:
             monkeypatch.setattr(rationals, "_MEMORY", memory)
-            for write, pieces in [
-                (_written_text, [(text, count) for text in texts]),
-                (_written, [(part, count) for part in parts]),
-            ]:
-                write([pieces[0]])
-                with pytest.raises(MemoryError, match=f"^a run of {count} equal values cannot be written out$"):
-                    traced_peak(write, pieces)
-                _, peak = traced_peak(lambda: pytest.raises(MemoryError, write, pieces))
-                assert peak < 4096
+            write([pieces[0]])
+            with pytest.raises(MemoryError, match=f"^a run of {longest} equal values cannot be written out$"):
+                traced_peak(write, pieces)
+            _, peak = traced_peak(lambda: pytest.raises(MemoryError, write, pieces))
+            assert peak < 4096
 
     def test_unknown_memory_is_taken_as_unbounded(self, monkeypatch):
         def sysconf(name):

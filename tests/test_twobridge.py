@@ -4,9 +4,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import deque
 from fractions import Fraction
-from itertools import groupby, islice, zip_longest
+from itertools import groupby, zip_longest
 from math import gcd
 from operator import countOf
 from pathlib import Path
@@ -41,7 +40,7 @@ import tunnelslopes.oracle
 import tunnelslopes.rationals
 import tunnelslopes.twobridge
 from tunnelslopes.oracle import _unit_word, unit_rewrite, unit_rewrite_check
-from tunnelslopes.twobridge import _first_residue, _walk
+from tunnelslopes.twobridge import _walk
 
 from test_contfrac import reference_even_cf, reference_entry_writer, run_families
 from test_tunnels import assert_matches_the_references, reference_serialize
@@ -399,7 +398,7 @@ def assert_matches_reference_walk(form):
     neighbours share one object, and the serialized bytes, against the
     reference walk."""
     expected = per_index(reference_walk(form))
-    assert per_index(_walk(form)) == expected
+    assert per_index(_walk(form)[1]) == expected
     m0, steps = cabling_steps(form)
     assert [(s.index, s.k, s.parity) for s in steps] == expected
     t = two_bridge_slopes(form)
@@ -441,7 +440,7 @@ def test_walk_follows_the_runs_not_the_entries():
     form = make_form(19815, 19811)
     entries = len(form.expansion.a_entries) + len(form.expansion.b_entries)
     assert entries == 4954
-    assert len(list(_walk(form))) <= 8
+    assert len(_walk(form)[1]) <= 8
 
 
 def test_walk_counts_a_stretch_without_listing_it():
@@ -451,7 +450,7 @@ def test_walk_counts_a_stretch_without_listing_it():
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        deque(_walk(form), maxlen=0)
+        _walk(form)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,7 +513,8 @@ def test_unit_rewrite_check_catches_broken_forms(monkeypatch):
     walk = tunnelslopes.twobridge._walk
 
     def walk_with_a_wrong_boundary(form):
-        return [(count, top, k + (count == 1), even) for count, top, k, even in walk(form)]
+        m0, items = walk(form)
+        return m0, [(count, top, k + (count == 1), even) for count, top, k, even in items]
 
     monkeypatch.setattr(tunnelslopes.twobridge, "_walk", walk_with_a_wrong_boundary)
     assert unit_rewrite_check([form]).violations == (
@@ -581,7 +581,7 @@ def assert_matches_entry_walk(form):
     the entry-by-entry writer, the grouped walk and str() per bit."""
     x = Fraction(form.b, form.a)
     assert form.expansion == reference_even_cf(*reference_entry_writer(x))
-    assert per_index(_walk(form)) == per_index(reference_grouped_walk(form))
+    assert per_index(_walk(form)[1]) == per_index(reference_grouped_walk(form))
     t = two_bridge_slopes(form)
     assert serialize(t) == reference_serialize(t)
     assert t.slopes == reference_slopes(form)
@@ -641,7 +641,7 @@ def test_walk_yields_maximal_runs():
     pairs = RUN_HEAVY_INVARIANTS + NEAR_ONE_INVARIANTS + slopes_2bridge_pools() + [(36000037, 11999989)]
     for pair in pairs:
         for form in normalize_input(*pair):
-            walk = _walk(form)
+            walk = _walk(form)[1]
             assert walk == merged_walk(reference_grouped_walk(form))
             assert len(two_bridge_slopes(form).slope_runs) == len(walk)
 
@@ -651,9 +651,8 @@ def assert_residues_agree(b, a, cap=10**6):
     same walk, read per run, and the same tuple text when it has at most
     cap slopes."""
     first, second = normalize_input(b, a)
-    assert _first_residue(first) == _first_residue(second)
-    walk = _walk(first)
-    assert _walk(second) == walk
+    m0, walk = _walk(first)
+    assert _walk(second) == (m0, walk)
     if sum(count for count, _, _, _ in walk) <= cap:
         assert serialize(two_bridge_slopes(first)) == serialize(two_bridge_slopes(second))
 
@@ -688,7 +687,7 @@ def test_form_of_a_huge_run_stays_small():
     assert peak < 4096
     assert len(form.expansion.runs) == 2
     assert sum_a(form.expansion) == 25 * 10**14
-    walk = list(islice(_walk(form), 9))
+    walk = _walk(form)[1]
     assert len(walk) <= 8
     assert sum(count for count, _, _, _ in walk) == 25 * 10**14 - 1
 
