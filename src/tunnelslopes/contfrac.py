@@ -58,6 +58,7 @@ from .rationals import (
     INFINITY,
     IndeterminateFormError,
     ProjectiveRational,
+    _add_run,
     _exact,
     _quotient,
     _Record,
@@ -114,15 +115,6 @@ def cf_eval(entries: Iterable[ProjectiveRational]) -> ProjectiveRational:
     return _quotient(q, p)
 
 
-def _add_blocks(runs: list, a: int, b, count: int) -> None:
-    """Append ``count`` blocks (a, b) to a list of runs, extending the last
-    run when its block is the same."""
-    if runs and runs[-1][0] == a and runs[-1][1] == b:
-        runs[-1] = (a, b, runs[-1][2] + count)
-    else:
-        runs.append((a, b, count))
-
-
 class EvenCF(_Record):
     """The even expansion of a rational, stored as runs of equal blocks.
 
@@ -176,12 +168,12 @@ def _even_runs(x: Fraction) -> tuple:
         u, v = x.numerator, x.denominator
         if v == 1:
             if a is not None:
-                _add_blocks(runs, a, u, 1)  # the closing bk is stored whole
+                _add_run(runs, (a, u), 1)  # the closing bk is stored whole
             elif u % 2:
                 s = 1 if u > 0 else -1
-                _add_blocks(runs, (u - s) // 2, s, 1)  # 2ak + 1/bk with bk = s
+                _add_run(runs, ((u - s) // 2, s), 1)  # 2ak + 1/bk with bk = s
             else:
-                _add_blocks(runs, u // 2, None, 1)
+                _add_run(runs, (u // 2, None), 1)
             return tuple(runs)
         d = abs(u) - v
         if 0 < 4 * d <= v:
@@ -189,11 +181,11 @@ def _even_runs(x: Fraction) -> tuple:
             s = 1 if u > 0 else -1
             n = (v - 2 * d) // (2 * d)
             if a is None:
-                _add_blocks(runs, s, -s, n)
+                _add_run(runs, (s, -s), n)
             else:  # close the open block with s, fill n - 1 blocks (-s, s), open one with -s
-                _add_blocks(runs, a, s, 1)
+                _add_run(runs, (a, s), 1)
                 if n > 1:
-                    _add_blocks(runs, -s, s, n - 1)
+                    _add_run(runs, (-s, s), n - 1)
                 a = -s
             x = Fraction(u - 2 * n * s * d, v - 2 * n * d)
             continue
@@ -201,7 +193,7 @@ def _even_runs(x: Fraction) -> tuple:
         if a is None:
             a = h
         else:
-            _add_blocks(runs, a, h, 1)
+            _add_run(runs, (a, h), 1)
             a = None
         x = 1 / (x - 2 * h)
 

@@ -122,6 +122,15 @@ def _fits(pieces: list, what: str, item_bytes: int) -> None:
         raise MemoryError(f"a run of {_shown(longest)} {what} cannot be written out")
 
 
+def _add_run(runs: list, key: tuple, count: int) -> None:
+    """Append the run key + (count,) to runs, or add count to the last run
+    when its key is the same: how every list of maximal runs is built."""
+    if runs and runs[-1][0] == key[0] and runs[-1][:-1] == key:  # most appends stop at the first field
+        runs[-1] = runs[-1][:-1] + (runs[-1][-1] + count,)
+    else:
+        runs.append(key + (count,))
+
+
 def _written(pieces: list, what: str = "equal values") -> list:
     """The items of part * count over pieces (part, count) of tuples, as a
     list; an item repeated by a run is one shared object."""
@@ -136,7 +145,7 @@ def _written_text(pieces: list) -> str:
     """text * count over pieces (text, count) of ASCII strs, joined. A long
     run is joined from copies of one shared block of _BLOCK texts, so that
     building the result takes little more memory than the result."""
-    _fits(pieces, "equal values", 1)
+    _fits(pieces, "equal values", 2)  # the text and the encoded copy that printing it makes
     parts = []
     for text, count in pieces:
         if count > _BLOCK:

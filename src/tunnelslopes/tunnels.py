@@ -18,6 +18,7 @@ from itertools import groupby
 from .rationals import (
     INFINITY,
     ResidueSlope,
+    _add_run,
     _excerpt,
     _Record,
     _set,
@@ -219,6 +220,7 @@ def serialize(t: TunnelParams) -> str:
 
 
 _RESIDUE_RE = re.compile(r"\s*\[\s*(-?\d+)(?:\s*/\s*(-?\d+))?\s*\]")
+_BIT_RUN_RE = re.compile("0+|1+")
 
 
 def _stripped(text: str, start: int, stop: int) -> tuple[int, int]:
@@ -295,10 +297,7 @@ def parse(text: str) -> TunnelParams:
             except ValueError:
                 raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
             count, cursor = _equal_tokens(text, token, end + 1, stop)
-            if runs and runs[-1][0] == m:  # an equal value written another way
-                runs[-1] = (runs[-1][0], runs[-1][1] + count)
-            else:
-                runs.append((m, count))
+            _add_run(runs, (m,), count)  # merges an equal value written another way
     binary_runs: tuple = ()
     if semicolon >= 0:
         start, stop = _stripped(text, semicolon + 1, len(text))
@@ -307,14 +306,8 @@ def parse(text: str) -> TunnelParams:
         if text.count("0", start, stop) + text.count("1", start, stop) != stop - start:
             bits = text[start:stop]
             raise ParseError(f"binary string {_excerpt(bits)} must use only 0 and 1", semicolon)
-        bit_runs = []
-        while start < stop:  # a run of one bit ends where the other bit is next found
-            bit = text[start]
-            end = text.find("1" if bit == "0" else "0", start, stop)
-            end = stop if end < 0 else end
-            bit_runs.append((int(bit), end - start))
-            start = end
-        binary_runs = tuple(bit_runs)
+        bit_runs = _BIT_RUN_RE.finditer(text, start, stop)
+        binary_runs = tuple([(int(text[run.start()]), run.end() - run.start()) for run in bit_runs])
     return TunnelParams._new(m0, tuple(runs), binary_runs)
 
 

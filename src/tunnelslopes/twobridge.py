@@ -15,18 +15,17 @@ lower entry, less one when the last a entry is negative. All of the
 selection bits are zero for these tunnels.
 
 ``_walk`` reads the runs of equal blocks (ai, bi) that ``EvenCF`` stores,
-never its written-out entries, and passes every cabling through one
-append-or-extend keyed on (k, parity), so it returns the maximal runs of
-equal cablings. A run of n blocks is its own lower neighbour n - 1 times;
-only runs of blocks (+-1, -+1) are long, and their blocks have no inner
-cablings, so their n - 1 equal boundary cablings go in as one; any other
-run is O(log b) blocks long. So a form costs memory and Python steps per
-run, not per entry or per twist. ``cabling_steps`` records each cabling as
-a ``CablingStep``, and only its result grows with the twists;
-``two_bridge_slopes`` builds each item's slope once, in lowest terms, and
-returns a ``TunnelParams`` of one slope run per item. ``make_form`` is the
-one validation of b/a, ``_walk`` the one place a zero twist count is
-rejected, and the records are not checked again.
+never its written-out entries, and adds each cabling with ``_add_run``, so
+its items are the maximal runs (k, even, count) of equal cablings. A run of
+n blocks is its own lower neighbour n - 1 times; only runs of blocks
+(+-1, -+1) are long, and their blocks have no inner cablings, so their n - 1
+equal boundary cablings go in as one; any other run is O(log b) blocks long.
+So a form costs memory and Python steps per run, not per entry or per twist.
+``cabling_steps`` records each cabling as a ``CablingStep``, and only its
+result grows with the twists; ``two_bridge_slopes`` builds each item's slope
+once, in lowest terms, and returns a ``TunnelParams`` of one slope run per
+item. ``make_form`` is the one validation of b/a, ``_walk`` the one place a
+zero twist count is rejected, and the records are not checked again.
 ``oracle.unit_rewrite_check`` certifies the walk against the unit rewrite,
 one unit per twist, which only the oracle writes out.
 """
@@ -37,7 +36,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import EvenCF, even_cf_expand
-from .rationals import ResidueSlope, _fits, _Record, _set, _shown, residue_of
+from .rationals import ResidueSlope, _add_run, _fits, _Record, _set, _shown, residue_of
 from .tunnels import TunnelParams
 
 
@@ -121,47 +120,40 @@ def normalize_input(b: int, a: int) -> list[TwoBridgeForm]:
     return [make_form(b, residue), make_form(b, residue - b)]
 
 
-def _walk(form: TwoBridgeForm) -> tuple[ResidueSlope, list[tuple[int, int, int, bool]]]:
-    """(m0, items): the first-cabling residue, then the maximal runs of equal
-    cablings after it in construction order as (count, top, k, even): a run's
-    length, highest twist index, twist count and whether its parity is even."""
+def _walk(form: TwoBridgeForm) -> tuple[ResidueSlope, list[tuple[int, bool, int]], int]:
+    """(m0, items, n): the first-cabling residue, then the maximal runs of
+    equal cablings after it in construction order as (k, even, count), with
+    k the twist count, and their number n, the index of the first cabling."""
     runs = form.expansion.runs
     a_last, b_last, _ = runs[-1]
     k_first = b_last - (a_last < 0)
     if k_first == 0:
         raise CablingContradictionError("first cabling has twist count 0")
     items: list = []
-    i = sum([abs(a) * n for a, _, n in runs]) - 1  # the next twist index, downwards
-
-    def cable(count: int, k: int, even: bool) -> None:
-        nonlocal i
-        if k == 0:
-            raise CablingContradictionError(f"cabling {i} has twist count 0")
-        if items and items[-1][2] == k and items[-1][3] is even:
-            items[-1] = (items[-1][0] + count, items[-1][1], k, even)
-        else:
-            items.append((count, i, k, even))
-        i -= count
-
     for j in range(len(runs) - 1, -1, -1):
         # Each block of sign e gives |a| - 1 cablings with k = e and, unless it
         # is block 0, one at its lower boundary, k = 2b' + (e + e')/2 from the
         # block (a', b') below it: its own run's block for all but the lowest.
-        a, b, n = runs[j]
+        a, b, count = runs[j]
         e = 1 if a > 0 else -1
         even = (b_last + (e + 1) // 2) % 2 == 0
         inner = abs(a) - 1
         if inner > 0:
-            for _ in range(n - 1):  # a hyperbolic run, O(log b) blocks long
-                cable(inner, e, even)
-                cable(1, 2 * b + e, even)
-            cable(inner, e, even)
-        elif n > 1:
-            cable(n - 1, 2 * b + e, even)
+            for _ in range(count - 1):  # a hyperbolic run, O(log b) blocks long
+                _add_run(items, (e, even), inner)
+                _add_run(items, (2 * b + e, even), 1)
+            _add_run(items, (e, even), inner)
+        elif count > 1:
+            _add_run(items, (2 * b + e, even), count - 1)
         if j:
             a_lower, b_lower, _ = runs[j - 1]
-            cable(1, 2 * b_lower + (e + (1 if a_lower > 0 else -1)) // 2, even)
-    return residue_of(Fraction(k_first, 2 * k_first + 1)), items
+            _add_run(items, (2 * b_lower + (e + (1 if a_lower > 0 else -1)) // 2, even), 1)
+    n = i = sum([abs(a) * count for a, _, count in runs]) - 1
+    for k, _, count in items:
+        if k == 0:
+            raise CablingContradictionError(f"cabling {_shown(i)} has twist count 0")
+        i -= count
+    return residue_of(Fraction(k_first, 2 * k_first + 1)), items, n
 
 
 # The bytes one cabling takes in cabling_steps' result: its tuple slot, 8 B for
@@ -174,13 +166,13 @@ def cabling_steps(form: TwoBridgeForm) -> tuple[ResidueSlope, tuple[CablingStep,
     the result, records and all, is sized from the walk's counts before any
     step is built, so a form with more cablings than memory holds fails at
     once with ``MemoryError``."""
-    m0, items = _walk(form)
-    n = sum(item[0] for item in items)
+    m0, items, n = _walk(form)
     _fits([((None,), n)], "cablings", _STEP_BYTES)
+    index = iter(range(n, 0, -1))
     return m0, tuple(
-        CablingStep(i, k, "even" if even else "odd")
-        for count, top, k, even in items
-        for i in range(top, top - count, -1)
+        CablingStep(next(index), k, "even" if even else "odd")
+        for k, even, count in items
+        for _ in range(count)
     )
 
 
@@ -188,7 +180,6 @@ def two_bridge_slopes(form: TwoBridgeForm) -> TunnelParams:
     """The full cabling-parameter tuple of the knot's depth-one tunnel, one
     run of equal slopes per walk item and one Fraction per run, so it costs
     O(runs) however many cablings there are."""
-    m0, items = _walk(form)
-    slopes = tuple([(_cabling_slope(k, even), count) for count, _, k, even in items])
-    n = sum([count for count, _, _, _ in items])
+    m0, items, n = _walk(form)
+    slopes = tuple([(_cabling_slope(k, even), count) for k, even, count in items])
     return TunnelParams._new(m0, slopes, ((0, n - 1),) if n > 1 else ())

@@ -2,12 +2,14 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tunnelslopes import (
     INFINITY,
+    CablingContradictionError,
     IndeterminateFormError,
     LinkInvariantError,
     NotFiniteError,
@@ -15,6 +17,7 @@ from tunnelslopes import (
     ResidueSlope,
     SL2Matrix,
     TunnelParams,
+    TwoBridgeForm,
     ValidationError,
     convert_range,
     make_form,
@@ -245,17 +248,18 @@ class TestWriteOut:
         assert _written_text(pieces) == "".join(text * count for text, count in pieces)
 
     def test_too_large_is_refused_before_its_long_runs_are_built(self, monkeypatch):
-        # Under 10**6 B, 0.5 and 0.8 MB fit, 1.1 and 1.6 MB do not. Under 10**4 B,
-        # one run of 1000 fits, but not 20 of them, though none is longer than
-        # _BLOCK. The message names the longest run, also where the total
-        # passes the budget only at a later, shorter one: 0.8 + 0.3 MB of text,
-        # 0.8 + 0.24 MB of items.
+        # A text is budgeted at 2 B a character and an item at 8 B. Under 10**6 B,
+        # 0.5 MB of text and 0.8 MB of items fit, 1.1 MB of text and 1.6 MB of
+        # items do not. Under 10**4 B, one run of 1000 fits, but not 20 of them,
+        # though none is longer than _BLOCK. The message names the longest run,
+        # also where the total passes the budget only at a later, shorter one:
+        # 0.4 + 0.15 MB of text, 0.8 + 0.24 MB of items.
         for memory, write, pieces, longest in [
             (10**6, _written_text, [(", 1/3", 10**5), (", 13/5", 10**5)], 10**5),
             (10**6, _written, [((1,), 10**5), ((2,), 10**5)], 10**5),
             (10**4, _written_text, [(", 1/3", 1000)] * 20, 1000),
             (10**4, _written, [((i,), 1000) for i in range(20)], 1000),
-            (10**6, _written_text, [("ab", 4 * 10**5), ("c", 3 * 10**5)], 4 * 10**5),
+            (10**6, _written_text, [("ab", 2 * 10**5), ("c", 15 * 10**4)], 2 * 10**5),
             (10**6, _written, [((1,), 10**5), ((2,), 3 * 10**4)], 10**5),
         ]:
             monkeypatch.setattr(rationals, "_MEMORY", memory)
@@ -264,6 +268,13 @@ class TestWriteOut:
                 traced_peak(write, pieces)
             _, peak = traced_peak(lambda: pytest.raises(MemoryError, write, pieces))
             assert peak < 4096
+
+    def test_a_text_is_budgeted_with_its_printed_copy(self, monkeypatch):
+        # Printing a text makes an encoded copy of it, so writing out and
+        # printing 0.6 MB of text takes 1.2 MB: more than 10**6 B.
+        monkeypatch.setattr(rationals, "_MEMORY", 10**6)
+        with pytest.raises(MemoryError, match=f"^a run of {3 * 10**5} equal values cannot be written out$"):
+            _written_text([("ab", 3 * 10**5)])
 
     def test_unknown_memory_is_taken_as_unbounded(self, monkeypatch):
         def sysconf(name):
@@ -351,6 +362,14 @@ LONG_RUN = (Fraction(3), HUGE)
         pytest.param(lambda: make_form(2 * HUGE, 3), LinkInvariantError, "is even", id="even-b"),
         pytest.param(lambda: make_form(3 * HUGE + 3, 3), ValueError, "not coprime", id="coprime"),
         pytest.param(lambda: make_form(HUGE + 1, HUGE + 2), ValueError, "does not exceed 1", id="unnormalized"),
+        pytest.param(
+            lambda: two_bridge_slopes(
+                TwoBridgeForm(33, 19, SimpleNamespace(runs=((1, -2, HUGE), (-1, 0, 1), (1, 1, 1))))
+            ),
+            CablingContradictionError,
+            "has twist count 0",
+            id="zero-twist",
+        ),
         pytest.param(lambda: convert_range(-HUGE, 1, 3), ValueError, "must be positive", id="range-p"),
         pytest.param(lambda: convert_range(3, HUGE, 1), ValueError, "empty range", id="range-q"),
         pytest.param(

@@ -39,10 +39,11 @@ from tunnelslopes import (
 import tunnelslopes.oracle
 import tunnelslopes.rationals
 import tunnelslopes.twobridge
-from tunnelslopes.oracle import _unit_word, unit_rewrite, unit_rewrite_check
+from tunnelslopes.oracle import _eval_raw, _unit_word, unit_rewrite, unit_rewrite_check
 from tunnelslopes.twobridge import _walk
 
 from test_contfrac import reference_even_cf, reference_entry_writer, run_families
+from test_oracle import n_family
 from test_tunnels import assert_matches_the_references, reference_serialize
 
 
@@ -379,6 +380,17 @@ def per_index(walk):
     ]
 
 
+def indexed_walk(form):
+    """_walk's items in the form the references give: (count, top, k, even),
+    with top the item's highest twist index, counted down from n."""
+    _, items, top = _walk(form)
+    walk = []
+    for k, even, count in items:
+        walk.append((count, top, k, even))
+        top -= count
+    return walk
+
+
 def reference_slopes(form):
     """The slopes of the reference walk, one object per item as before."""
     slopes, last = [], None
@@ -398,7 +410,7 @@ def assert_matches_reference_walk(form):
     neighbours share one object, and the serialized bytes, against the
     reference walk."""
     expected = per_index(reference_walk(form))
-    assert per_index(_walk(form)[1]) == expected
+    assert per_index(indexed_walk(form)) == expected
     m0, steps = cabling_steps(form)
     assert [(s.index, s.k, s.parity) for s in steps] == expected
     t = two_bridge_slopes(form)
@@ -440,7 +452,7 @@ def test_walk_follows_the_runs_not_the_entries():
     form = make_form(19815, 19811)
     entries = len(form.expansion.a_entries) + len(form.expansion.b_entries)
     assert entries == 4954
-    assert len(_walk(form)[1]) <= 8
+    assert len(indexed_walk(form)) <= 8
 
 
 def test_walk_counts_a_stretch_without_listing_it():
@@ -513,8 +525,8 @@ def test_unit_rewrite_check_catches_broken_forms(monkeypatch):
     walk = tunnelslopes.twobridge._walk
 
     def walk_with_a_wrong_boundary(form):
-        m0, items = walk(form)
-        return m0, [(count, top, k + (count == 1), even) for count, top, k, even in items]
+        m0, items, n = walk(form)
+        return m0, [(k + (count == 1), even, count) for k, even, count in items], n
 
     monkeypatch.setattr(tunnelslopes.twobridge, "_walk", walk_with_a_wrong_boundary)
     assert unit_rewrite_check([form]).violations == (
@@ -581,7 +593,7 @@ def assert_matches_entry_walk(form):
     the entry-by-entry writer, the grouped walk and str() per bit."""
     x = Fraction(form.b, form.a)
     assert form.expansion == reference_even_cf(*reference_entry_writer(x))
-    assert per_index(_walk(form)[1]) == per_index(reference_grouped_walk(form))
+    assert per_index(indexed_walk(form)) == per_index(reference_grouped_walk(form))
     t = two_bridge_slopes(form)
     assert serialize(t) == reference_serialize(t)
     assert t.slopes == reference_slopes(form)
@@ -641,7 +653,7 @@ def test_walk_yields_maximal_runs():
     pairs = RUN_HEAVY_INVARIANTS + NEAR_ONE_INVARIANTS + slopes_2bridge_pools() + [(36000037, 11999989)]
     for pair in pairs:
         for form in normalize_input(*pair):
-            walk = _walk(form)[1]
+            walk = indexed_walk(form)
             assert walk == merged_walk(reference_grouped_walk(form))
             assert len(two_bridge_slopes(form).slope_runs) == len(walk)
 
@@ -651,9 +663,9 @@ def assert_residues_agree(b, a, cap=10**6):
     same walk, read per run, and the same tuple text when it has at most
     cap slopes."""
     first, second = normalize_input(b, a)
-    m0, walk = _walk(first)
-    assert _walk(second) == (m0, walk)
-    if sum(count for count, _, _, _ in walk) <= cap:
+    m0, items, n = _walk(first)
+    assert _walk(second) == (m0, items, n)
+    if n <= cap:
         assert serialize(two_bridge_slopes(first)) == serialize(two_bridge_slopes(second))
 
 
@@ -673,6 +685,38 @@ def test_residue_pair_identity_on_random_40_digit_invariants():
         assert_residues_agree(*item)
 
 
+def knots_below_80():
+    return [(b, a) for b in range(3, 80, 2) for a in range(1, b) if gcd(b, a) == 1]
+
+
+def test_mirror_identity():
+    # An orientation-reversing map takes the knot of b/a to that of b/(-a),
+    # and its tunnel's tuple to the mirror tuple; tuples compare by runs.
+    forms = [make_form(b, a) for b, a in knots_below_80()]
+    forms += [form for n in (10**16, 10**300) for pair in n_family(n) for form in normalize_input(*pair)]
+    assert len(forms) == 1302 + 24
+    for form in forms:
+        assert two_bridge_slopes(make_form(form.b, -form.a)) == mirror(two_bridge_slopes(form))
+
+
+def test_prefix_closure():
+    # The paper's intermediate tunnels: the first L entries of a tuple, m0 and
+    # L - 1 slopes, are the tuple of the knot whose invariant is the value of
+    # the unit word from unit N - L on.
+    prefixes = 0
+    for pair in knots_below_80():
+        for form in normalize_input(*pair):
+            t = two_bridge_slopes(form)
+            word = _unit_word(*unit_rewrite(form.expansion))
+            units = len(word) // 2
+            for length in range(1, units + 1):
+                b, a = _eval_raw(word[2 * (units - length) :])
+                prefix = TunnelParams(t.m0, t.slopes[: length - 1], t.binaries[: max(length - 2, 0)])
+                assert two_bridge_slopes(make_form(b, a)) == prefix
+                prefixes += 1
+    assert prefixes == 14284
+
+
 def test_form_of_a_huge_run_stays_small():
     # (N + 1)/(N - 1) with N = 10^16: 5 * 10^15 entries in two runs.
     b, a = 10**16 + 1, 10**16 - 1
@@ -687,7 +731,7 @@ def test_form_of_a_huge_run_stays_small():
     assert peak < 4096
     assert len(form.expansion.runs) == 2
     assert sum_a(form.expansion) == 25 * 10**14
-    walk = _walk(form)[1]
+    walk = indexed_walk(form)
     assert len(walk) <= 8
     assert sum(count for count, _, _, _ in walk) == 25 * 10**14 - 1
 
