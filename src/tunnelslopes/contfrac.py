@@ -168,12 +168,12 @@ def _even_runs(x: Fraction) -> tuple:
         u, v = x.numerator, x.denominator
         if v == 1:
             if a is not None:
-                _add_run(runs, (a, u), 1)  # the closing bk is stored whole
+                _add_run(runs, (a, u, 1))  # the closing bk is stored whole
             elif u % 2:
                 s = 1 if u > 0 else -1
-                _add_run(runs, ((u - s) // 2, s), 1)  # 2ak + 1/bk with bk = s
+                _add_run(runs, ((u - s) // 2, s, 1))  # 2ak + 1/bk with bk = s
             else:
-                _add_run(runs, (u // 2, None), 1)
+                _add_run(runs, (u // 2, None, 1))
             return tuple(runs)
         d = abs(u) - v
         if 0 < 4 * d <= v:
@@ -181,11 +181,11 @@ def _even_runs(x: Fraction) -> tuple:
             s = 1 if u > 0 else -1
             n = (v - 2 * d) // (2 * d)
             if a is None:
-                _add_run(runs, (s, -s), n)
+                _add_run(runs, (s, -s, n))
             else:  # close the open block with s, fill n - 1 blocks (-s, s), open one with -s
-                _add_run(runs, (a, s), 1)
+                _add_run(runs, (a, s, 1))
                 if n > 1:
-                    _add_run(runs, (-s, s), n - 1)
+                    _add_run(runs, (-s, s, n - 1))
                 a = -s
             x = Fraction(u - 2 * n * s * d, v - 2 * n * d)
             continue
@@ -193,7 +193,7 @@ def _even_runs(x: Fraction) -> tuple:
         if a is None:
             a = h
         else:
-            _add_run(runs, (a, h), 1)
+            _add_run(runs, (a, h, 1))
             a = None
         x = 1 / (x - 2 * h)
 

@@ -175,7 +175,7 @@ def unit_rewrite_check(forms: list[TwoBridgeForm]) -> OracleReport:
     of every unit i after the first."""
     violations = []
     for f in forms:
-        twists = sum(abs(a) for a in f.expansion.a_entries)
+        twists = sum([abs(a) * n for a, _, n in f.expansion.runs])
         ua, ub = unit_rewrite(f.expansion)
         if len(ua) != twists:
             violations.append(f"{f.b}/{f.a}: {len(ua)} units for {twists} twists")

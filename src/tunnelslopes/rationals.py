@@ -122,13 +122,13 @@ def _fits(pieces: list, what: str, item_bytes: int) -> None:
         raise MemoryError(f"a run of {_shown(longest)} {what} cannot be written out")
 
 
-def _add_run(runs: list, key: tuple, count: int) -> None:
-    """Append the run key + (count,) to runs, or add count to the last run
-    when its key is the same: how every list of maximal runs is built."""
-    if runs and runs[-1][0] == key[0] and runs[-1][:-1] == key:  # most appends stop at the first field
-        runs[-1] = runs[-1][:-1] + (runs[-1][-1] + count,)
+def _add_run(runs: list, run: tuple) -> None:
+    """Append run (key..., count) to runs, or add its count to the last run when
+    their keys match: the builder of the runs of the descent, walk and parse."""
+    if runs and runs[-1][0] == run[0] and runs[-1][:-1] == run[:-1]:  # most appends stop at the first field
+        runs[-1] = runs[-1][:-1] + (runs[-1][-1] + run[-1],)
     else:
-        runs.append(key + (count,))
+        runs.append(run)
 
 
 def _written(pieces: list, what: str = "equal values") -> list:

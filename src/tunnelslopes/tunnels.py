@@ -297,7 +297,7 @@ def parse(text: str) -> TunnelParams:
             except ValueError:
                 raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
             count, cursor = _equal_tokens(text, token, end + 1, stop)
-            _add_run(runs, (m,), count)  # merges an equal value written another way
+            _add_run(runs, (m, count))  # merges an equal value written another way
     binary_runs: tuple = ()
     if semicolon >= 0:
         start, stop = _stripped(text, semicolon + 1, len(text))

@@ -140,14 +140,14 @@ def _walk(form: TwoBridgeForm) -> tuple[ResidueSlope, list[tuple[int, bool, int]
         inner = abs(a) - 1
         if inner > 0:
             for _ in range(count - 1):  # a hyperbolic run, O(log b) blocks long
-                _add_run(items, (e, even), inner)
-                _add_run(items, (2 * b + e, even), 1)
-            _add_run(items, (e, even), inner)
+                _add_run(items, (e, even, inner))
+                _add_run(items, (2 * b + e, even, 1))
+            _add_run(items, (e, even, inner))
         elif count > 1:
-            _add_run(items, (2 * b + e, even), count - 1)
+            _add_run(items, (2 * b + e, even, count - 1))
         if j:
             a_lower, b_lower, _ = runs[j - 1]
-            _add_run(items, (2 * b_lower + (e + (1 if a_lower > 0 else -1)) // 2, even), 1)
+            _add_run(items, (2 * b_lower + (e + (1 if a_lower > 0 else -1)) // 2, even, 1))
     n = i = sum([abs(a) * count for a, _, count in runs]) - 1
     for k, _, count in items:
         if k == 0:

@@ -194,7 +194,7 @@ def reference_even_cf(a_entries, b_entries, has_final_b) -> EvenCF:
             )
     runs: list = []
     for a, b in zip_longest(a_entries, b_entries):
-        _add_run(runs, (a, b), 1)
+        _add_run(runs, (a, b, 1))
     return EvenCF(tuple(runs))
 
 
@@ -353,22 +353,22 @@ def reference_items_to_runs(items):
             if a is None:
                 a = c // 2
             else:
-                _add_run(runs, (a, c // 2), 1)
+                _add_run(runs, (a, c // 2, 1))
                 a = None
         elif a is None:
             # n pairs (2s, -2s) from an a slot are n blocks (s, -s).
-            _add_run(runs, (c.sign, -c.sign), c.count)
+            _add_run(runs, (c.sign, -c.sign, c.count))
         else:
             # From a b slot they close the open block with s, fill n - 1
             # blocks (-s, s) and open one with -s.
-            _add_run(runs, (a, c.sign), 1)
+            _add_run(runs, (a, c.sign, 1))
             if c.count > 1:
-                _add_run(runs, (-c.sign, c.sign), c.count - 1)
+                _add_run(runs, (-c.sign, c.sign, c.count - 1))
             a = -c.sign
     if a is None:
-        _add_run(runs, (last // 2, None), 1)
+        _add_run(runs, (last // 2, None, 1))
     else:
-        _add_run(runs, (a, last), 1)  # the closing bk is stored whole
+        _add_run(runs, (a, last, 1))  # the closing bk is stored whole
     return tuple(runs)
 
 

@@ -30,7 +30,7 @@ from tunnelslopes import (
     validate,
 )
 from tunnelslopes import rationals
-from tunnelslopes.rationals import _BLOCK, _exact, _written, _written_text
+from tunnelslopes.rationals import _BLOCK, _add_run, _exact, _written, _written_text
 
 from test_convert import Sub, outcome
 
@@ -227,6 +227,39 @@ def traced_peak(f, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+class TestAddRun:
+    def test_an_append_stores_the_callers_run(self):
+        runs = [(1, 2, 3)]
+        for run in [(2, 2, 1), (2, 3, 4), (-1, None, 1)]:
+            _add_run(runs, run)
+            assert runs[-1] is run
+        assert runs == [(1, 2, 3), (2, 2, 1), (2, 3, 4), (-1, None, 1)]
+
+    def test_equal_keys_add_their_counts(self):
+        runs = [(1, -1, 2)]
+        _add_run(runs, (1, -1, 5))
+        assert runs == [(1, -1, 7)]
+        runs = []
+        for run in [(3, None, 1), (3, None, 1), (3, None, 2)]:
+            _add_run(runs, run)
+        assert runs == [(3, None, 4)]
+
+    def test_an_equal_first_field_with_a_different_key_appends(self):
+        runs = [(3, None, 1)]
+        for run in [(3, 1, 1), (3, 1, 2), (3, -1, 1)]:
+            _add_run(runs, run)
+        assert runs == [(3, None, 1), (3, 1, 3), (3, -1, 1)]
+
+    def test_a_merge_keeps_the_first_runs_key(self):
+        # parse reads "3, 3/1" as one run of one Fraction, the first token's.
+        first = Fraction(3)
+        runs: list = []
+        _add_run(runs, (first, 2))
+        _add_run(runs, (Fraction(3), 5))
+        assert runs == [(Fraction(3), 7)]
+        assert runs[0][0] is first
 
 
 counts = st.integers(0, 3 * _BLOCK)

@@ -534,6 +534,14 @@ def test_unit_rewrite_check_catches_broken_forms(monkeypatch):
     )
 
 
+def test_unit_rewrite_check_counts_twists_from_runs(monkeypatch):
+    def written_out(e):
+        raise AssertionError("a_entries written out")
+
+    monkeypatch.setattr(EvenCF, "a_entries", property(written_out))
+    assert unit_rewrite_check([make_form(33, 19)]).ok
+
+
 def test_total_cabling_count_equals_expansion_twists():
     assert sum_a(even_cf_expand(Fraction(33, 19))) == 3  # signed sum, for contrast
     form = make_form(33, 19)
