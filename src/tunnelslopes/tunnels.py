@@ -221,6 +221,10 @@ def serialize(t: TunnelParams) -> str:
 
 _RESIDUE_RE = re.compile(r"\s*\[\s*(-?\d+)(?:\s*/\s*(-?\d+))?\s*\]")
 _BIT_RUN_RE = re.compile("0+|1+")
+# A stretch of equal slope tokens: a comma, a token, and each later ',token'
+# with the same text that ends at a comma or at the end. The possessive '*+'
+# keeps no backtracking state, so a long stretch is one match in C.
+_STRETCH_RE = re.compile(r",([^,]*)(?:,\1(?=,|\Z))*+")
 
 
 def _stripped(text: str, start: int, stop: int) -> tuple[int, int]:
@@ -232,35 +236,12 @@ def _stripped(text: str, start: int, stop: int) -> tuple[int, int]:
     return start, stop
 
 
-def _equal_tokens(text: str, token: str, at: int, stop: int) -> tuple[int, int]:
-    """(count, end) of the stretch of slope tokens equal to token, the first
-    ending at at - 1 and each later one at a ',' or at stop: end is just past
-    the comma after the last one, or stop + 1 when the stretch ends at stop,
-    so a lone last token (at = stop + 1) gives (1, stop + 1). The text is
-    compared in blocks that double up to 4096 characters and then halve, so a
-    long stretch costs a Python step per 4096 characters and no copy of it."""
-    width = len(token) + 1
-    count, block = 1, token + ","
-    while text.startswith(block, at, stop):
-        count += len(block) // width
-        at += len(block)
-        if len(block) < 4096:
-            block += block
-    while len(block) > width:
-        block = block[: len(block) // 2]
-        if text.startswith(block, at, stop):
-            count += len(block) // width
-            at += len(block)
-    if at + len(token) == stop and text.startswith(token, at, stop):
-        return count + 1, stop + 1
-    return count, at
-
-
 def parse(text: str) -> TunnelParams:
     """Inverse of serialize, raising ParseError with a position on bad input.
 
-    The text is read by index, a stretch of equal slope tokens as one run
-    with one ``Fraction``, so memory follows the runs, not the text's length.
+    The text is read by index, each stretch of equal slope tokens with one
+    match, as one run with one ``Fraction``, so memory follows the runs, not
+    the text's length.
     """
     match = _RESIDUE_RE.match(text)
     if not match:
@@ -283,21 +264,19 @@ def parse(text: str) -> TunnelParams:
         if text[start] != ",":
             raise ParseError("expected ',' before the cabling slopes", offset)
         # A stretch of equal token texts is read once, as one run; an error
-        # in it stands at its first token, the cursor.
-        cursor = start + 1
-        while cursor <= stop:
-            comma = text.find(",", cursor, stop)
-            end = stop if comma < 0 else comma
-            token = text[cursor:end]
-            cleaned = token.strip()
+        # in it stands at its first token.
+        while start < stop:
+            stretch = _STRETCH_RE.match(text, start, stop)
+            cleaned = stretch[1].strip()
             if not cleaned:
-                raise ParseError("empty slope entry", cursor)
+                raise ParseError("empty slope entry", stretch.start(1))
             try:
                 m = parse_rational(cleaned)
             except ValueError:
-                raise ParseError(f"bad slope {_excerpt(cleaned)}", cursor) from None
-            count, cursor = _equal_tokens(text, token, end + 1, stop)
+                raise ParseError(f"bad slope {_excerpt(cleaned)}", stretch.start(1)) from None
+            count = (stretch.end() - start) // (stretch.end(1) - start)
             _add_run(runs, (m, count))  # merges an equal value written another way
+            start = stretch.end()
     binary_runs: tuple = ()
     if semicolon >= 0:
         start, stop = _stripped(text, semicolon + 1, len(text))

@@ -1,7 +1,6 @@
 import copy
 import pickle
 import time
-import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -32,6 +31,8 @@ from tunnelslopes import (
 import tunnelslopes.cli
 import tunnelslopes.tunnels
 from tunnelslopes.rationals import _excerpt
+
+from test_rationals import traced_peak
 
 
 def params(m0, slopes=(), binaries=()):
@@ -248,12 +249,24 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1/3", "[ 1/3 ] 3", "[ 1/3 ], x", "[ 1/3 ], 3, 5/3 ; 2", "[ 0/0 ]", "[ 1/3 ], "],
+        [
+            "",
+            "1/3",
+            "[ 1/3 ] 3",
+            "[ 1/3 ], x",
+            "[ 1/3 ], 3, 5/3 ; 2",
+            "[ 0/0 ]",
+            "[ 1/3 ], ",
+            "[ 1/3 ], 3, 3/, 3",
+            "[ 1/3 ], 3, 3,",
+            "[ 1/3 ],, 3",
+            "[ 1/3 ], 3, 3, , 3",
+        ],
     )
     def test_parse_errors_carry_positions(self, text):
-        with pytest.raises(ParseError) as err:
-            parse(text)
-        assert err.value.position >= 0
+        got = outcome(parse, text)
+        assert got[:2] == ("raised", ParseError)
+        assert got == outcome(reference_parse, text)
 
     def test_export_knot(self):
         assert to_export(TREFOILISH) == {
@@ -507,8 +520,8 @@ def test_parse_matches_the_reference(text):
 
 @st.composite
 def long_stretch_texts(draw):
-    """Tuple texts whose token stretches cross the block sizes parse compares
-    in (up to 4096 characters), with trailing commas, spaces and bad bits."""
+    """Tuple texts with long stretches of equal tokens, with trailing commas,
+    spaces and bad bits."""
     text = draw(st.sampled_from(RESIDUES[:4]))
     tokens = []
     for _ in range(draw(st.integers(0, 3))):
@@ -534,15 +547,9 @@ def test_parse_memory_follows_the_runs():
     line = serialize(two_bridge_slopes(make_form(2000001, 1999999)))
     assert len(line) == 2_000_005
     parse(line)
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        start = time.perf_counter()
-        t = parse(line)
-        seconds = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    start = time.perf_counter()
+    t, peak = traced_peak(parse, line)
+    seconds = time.perf_counter() - start
     assert peak < 1.5 * len(line)
     assert t.slope_runs == ((Fraction(1), 499_999),) and t.binary_runs == ((0, 499_998),)
     assert seconds < 1.0
@@ -578,6 +585,10 @@ def test_run_tuples_match_the_references(t):
         "[ 2/3 ], -3/2, 3, 3, 3, 3, 3, 7/3, 3, 3, 3, 3, 49/24",
         "[ 13/27 ], 3, 3, 3, 5/3, 3, 7/3, 15/8, -5/3, -1, -3",
         "[ 5/9 ], 11/5, 21/10, -23/11, -131/66",
+        "[ 1/3 ], 3, 33, 3 ; 00",
+        "[ 1/3 ], 3,3 ,3 ; 00",
+        "[ 1/3 ], 3, 3, 3 ; 00",
+        "[ 1/3 ], 3, 3/1, 3, 3 ; 000",
     ],
 )
 def test_golden_lines_match_the_references(text):

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from itertools import groupby, zip_longest
 from math import gcd
@@ -44,6 +43,7 @@ from tunnelslopes.twobridge import _walk
 
 from test_contfrac import reference_even_cf, reference_entry_writer, run_families
 from test_oracle import n_family
+from test_rationals import traced_peak
 from test_tunnels import assert_matches_the_references, reference_serialize
 
 
@@ -459,13 +459,7 @@ def test_walk_counts_a_stretch_without_listing_it():
     # 2000001/1999999 expands to a million entries, nearly all pairs (2, -2).
     form = make_form(2000001, 1999999)
     assert len(form.expansion.a_entries) + len(form.expansion.b_entries) == 10**6
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        _walk(form)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(_walk, form)
     assert peak < 64 * 1024
 
 
@@ -552,13 +546,7 @@ def test_total_cabling_count_equals_expansion_twists():
 def test_form_memory_does_not_grow_with_the_twists():
     # 2000001/2 expands as [1000000, 2]: 500 000 twists in one block, which a
     # form keeps as its two-entry expansion rather than as units.
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        form = make_form(2000001, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    form, peak = traced_peak(make_form, 2000001, 2)
     assert form.expansion.entries() == (1000000, 2)
     assert peak < 1_000_000
 
@@ -729,31 +717,13 @@ def test_form_of_a_huge_run_stays_small():
     # (N + 1)/(N - 1) with N = 10^16: 5 * 10^15 entries in two runs.
     b, a = 10**16 + 1, 10**16 - 1
     make_form(7, 5)
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        form = make_form(b, a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    form, peak = traced_peak(make_form, b, a)
     assert peak < 4096
     assert len(form.expansion.runs) == 2
     assert sum_a(form.expansion) == 25 * 10**14
     walk = indexed_walk(form)
     assert len(walk) <= 8
     assert sum(count for count, _, _, _ in walk) == 25 * 10**14 - 1
-
-
-def traced_peak(f, *args):
-    """(f(*args), the peak of the memory that tracemalloc saw it allocate)."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        result = f(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 def test_two_bridge_tuple_memory_follows_the_runs():
@@ -836,12 +806,6 @@ def test_cabling_steps_memory_per_step():
     # about 97 bytes (144 as a frozen dataclass with an instance dict).
     form = make_form(200001, 199999)
     cabling_steps(make_form(33, 19))
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        _, steps = cabling_steps(form)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, steps), peak = traced_peak(cabling_steps, form)
     assert len(steps) == 49_999
     assert peak <= 110 * len(steps)
