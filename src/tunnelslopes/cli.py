@@ -8,35 +8,20 @@ works as written; a negative value may also be bare, as in `convert -59/35`.
 Each subparser sets a ``read``, which ``main`` runs under Python's int/str
 digit limit, so an over-long integer is a short error. ``main`` then lifts
 the limit once for ``func``, so a long answer still prints, and restores it.
+Each ``read`` and ``func`` imports the package modules its command runs (and
+``json`` only under --json), so a fresh process loads no others.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 from fractions import Fraction
 
-from .convert import _range_pairs, st_convert
-from .oracle import selfcheck
 from .rationals import _excerpt, parse_rational, render
-from .tunnels import (
-    _export,
-    _linking_number,
-    _slope_text,
-    Target,
-    TunnelClass,
-    TunnelKind,
-    TunnelParams,
-    mirror,
-    parse,
-    serialize,
-    validate,
-)
-from .twobridge import make_form, normalize_input, two_bridge_slopes
 
 
 def _strip_parens(text: str) -> str:
@@ -61,24 +46,49 @@ def _parse_two_bridge(text: str):
 
 
 def cmd_convert(x: Fraction, args: argparse.Namespace) -> int:
+    from .convert import st_convert
+
     print(render(st_convert(x)))
     return 0
 
 
 def cmd_convert_range(bounds: tuple[int, int, int], args: argparse.Namespace) -> int:
+    from .convert import _range_pairs
+
     for left, right in _range_pairs(*bounds):
         print(f"{render(left)}, {render(right)}")
     return 0
 
 
 def cmd_slopes(invariant: tuple[int, int], args: argparse.Namespace) -> int:
+    from .tunnels import _slope_text
+    from .twobridge import make_form, normalize_input, two_bridge_slopes
+
     forms = normalize_input(*invariant) if args.both else [make_form(*invariant)]
     for form in forms:
         print(_slope_text(two_bridge_slopes(form)))
     return 0
 
 
-def _classification_line(t: TunnelParams, cls: TunnelClass) -> str:
+def _read_tuple(args: argparse.Namespace):
+    from .tunnels import parse
+
+    return parse(args.params)
+
+
+def _print_json(payload: dict) -> int:
+    import json
+
+    print(json.dumps(payload))
+    return 0
+
+
+def cmd_classify(t, args: argparse.Namespace) -> int:
+    from .tunnels import Target, TunnelKind, _export, _linking_number, validate
+
+    cls = validate(t)
+    if args.json:
+        return _print_json(_export(t, cls))
     line = cls.kind.value
     if cls.kind is TunnelKind.SIMPLE_LINK and t.m0.value == Fraction(1, 2):
         line += " (Hopf link)"
@@ -86,40 +96,36 @@ def _classification_line(t: TunnelParams, cls: TunnelClass) -> str:
         line += f", linking number {_linking_number(t, cls)}"
     if t.slope_runs and t.slope_runs[-1][0] == 0:
         line += " (final slope 0: accepted syntactically)"
-    return line
-
-
-def cmd_classify(t: TunnelParams, args: argparse.Namespace) -> int:
-    cls = validate(t)
-    if args.json:
-        print(json.dumps(_export(t, cls)))
-        return 0
-    print(_classification_line(t, cls))
+    print(line)
     return 0
 
 
-def cmd_mirror(t: TunnelParams, args: argparse.Namespace) -> int:
+def cmd_mirror(t, args: argparse.Namespace) -> int:
+    from .tunnels import _export, mirror, serialize, validate
+
     # Negating the slopes keeps every parity, so the mirror has t's class.
     cls = validate(t)
     mirrored = mirror(t)
     if args.json:
-        print(json.dumps(_export(mirrored, cls)))
-        return 0
+        return _print_json(_export(mirrored, cls))
     print(serialize(mirrored))
     return 0
 
 
-def cmd_link(t: TunnelParams, args: argparse.Namespace) -> int:
+def cmd_link(t, args: argparse.Namespace) -> int:
+    from .tunnels import _export, _linking_number, validate
+
     cls = validate(t)
     number = _linking_number(t, cls)
     if args.json:
-        print(json.dumps(_export(t, cls)))
-        return 0
+        return _print_json(_export(t, cls))
     print(number)
     return 0
 
 
 def cmd_selfcheck(_, args: argparse.Namespace) -> int:
+    from .oracle import selfcheck
+
     reports = selfcheck()
     for report in reports:
         print(report.summary())
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("params", help="tuple text, e.g. '[ 1/3 ], 3, 5/3 ; 0'")
         p.add_argument("--json", action="store_true", help="emit the JSON export instead")
-        p.set_defaults(read=lambda args: parse(args.params), func=func)
+        p.set_defaults(read=_read_tuple, func=func)
 
     p = sub.add_parser("selfcheck", help="run the built-in certification oracles")
     p.set_defaults(read=lambda args: None, func=cmd_selfcheck)
@@ -186,6 +192,8 @@ def _failed(args: argparse.Namespace, exc: Exception, message: str) -> int:
     'error:' line, or under --json one JSON object with the exception's
     class, its rule and position (null where it has none) and the message."""
     if getattr(args, "json", False):
+        import json
+
         rule, position = getattr(exc, "rule", None), getattr(exc, "position", None)
         line = json.dumps({"error": type(exc).__name__, "rule": rule, "position": position, "message": message})
     else:

@@ -10,6 +10,7 @@ import pytest
 
 import tunnelslopes.cli
 import tunnelslopes.convert
+import tunnelslopes.oracle
 import tunnelslopes.rationals
 import tunnelslopes.tunnels
 from tunnelslopes import TunnelParams, serialize, to_export
@@ -425,7 +426,6 @@ class TestTupleCommands:
             return validate(t)
 
         monkeypatch.setattr(tunnelslopes.tunnels, "validate", counted)
-        monkeypatch.setattr(tunnelslopes.cli, "validate", counted)
         run(capsys, verb, *json_flag, params)
         assert len(calls) == 1
 
@@ -531,7 +531,7 @@ def test_selfcheck(capsys):
 
 def test_selfcheck_failure_exits_nonzero(capsys, monkeypatch):
     failing = [OracleReport("even-cf uniqueness", 1, ("3: expand disagrees",))]
-    monkeypatch.setattr(tunnelslopes.cli, "selfcheck", lambda: failing)
+    monkeypatch.setattr(tunnelslopes.oracle, "selfcheck", lambda: failing)
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     assert out.endswith("selfcheck: FAIL\n")
