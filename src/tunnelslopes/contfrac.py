@@ -47,6 +47,38 @@ any other block grows the fold geometrically and repeats O(log p) times. So
 basis, which conversion reads, costs a few steps per regular partial
 quotient instead of one per entry. The entries are written out only when
 ``a_entries``, ``b_entries`` or ``entries()`` is read.
+
+Each step of the descent does a constant number of operations on the full
+numerator and denominator, so a long input costs quadratic time. While the
+denominator v of x = u/v is longer than two windows of _WINDOW bits, the
+descent runs Lehmer rounds (D. H. Lehmer, "Euclid's algorithm for large
+numbers", Amer. Math. Monthly 45, 1938; Knuth, TAOCP vol. 2, 4.5.2) on the
+top bits instead. A round shifts u and v right by k bits, the bit length of
+v less _WINDOW, to U and V, so that x lies between U/(V + 1) and (U + 1)/V
+when U >= 0, and between U/V and (U + 1)/(V + 1) when U < 0. It takes the
+descent's steps on both ends of that interval, as pairs of small integers,
+for as long as the two ends take the same step, and then applies the
+product of those steps to (u, v) at once; a round that takes no step takes
+one step on (u, v) itself.
+
+Every step is exactly the one x takes. A step depends only on the value: the
+run regime with its count n, where 1 < |x| <= 5/4 and n = floor(1/(2|x| - 2))
+- 1, or else h = floor((x + 1)/2) with the sign of the remainder x - 2h, which
+lies in [-1, 1). Each of these decision regions is an interval, but for one:
+that of h = 1 with a negative remainder is 1 together with (5/4, 2). A round
+takes a step only when both ends take it and neither remainder is -1, that
+is, neither end is the odd integer 2h - 1 at the closed end of its region;
+this excludes the ends +-1, and leaves every region an interval. So the
+interval between the ends lies in one region, and x with it. The step is a
+Moebius map with no pole on that interval: x -> 1/(x - 2h) has its pole at
+2h, where the remainder changes sign, and the run's map has its pole at
++-(1 + 1/(2n)), outside its region. So it maps the interval onto the
+interval between the images of its ends, which holds the image of x, and
+the next step is decided the same way. Each step also makes both ends'
+denominators smaller, so a round ends, and it took a step exactly when
+they moved. The steps act linearly on the pairs, so with ends p/q and P/Q
+before the round and f/g and F/G after it, the round's matrix is
+(f F / g G) (p P / q Q)^-1; like each step, it is unimodular.
 """
 
 from __future__ import annotations
@@ -159,11 +191,88 @@ class EvenCF(_Record):
         return "[" + ", ".join(str(e) for e in self.entries()) + "]"
 
 
+# The bits of the denominator a Lehmer round reads, set by measurement: with
+# 22 to 30, 100-4000 digit descents took within 10% of their best time.
+_WINDOW = 26
+
+
+def _emit(runs: list, a, h: int, n: int):
+    """Write one step of the descent into runs and return the open block's a:
+    the entry 2h for n = 0, else n pairs (2h, -2h) with h = +-1."""
+    if not n:
+        if a is None:
+            return h
+        _add_run(runs, (a, h, 1))
+        return None
+    if a is None:
+        _add_run(runs, (h, -h, n))
+        return None
+    # close the open block with h, fill n - 1 blocks (-h, h), open one with -h
+    _add_run(runs, (a, h, 1))
+    if n > 1:
+        _add_run(runs, (-h, h, n - 1))
+    return -h
+
+
+def _round(runs: list, a, p: int, q: int, P: int, Q: int, once: bool = False):
+    """Emit the descent's steps while the ends p/q and P/Q (q, Q > 0) of an
+    interval take the same one (the first step only when once), as the
+    module docstring derives; return the open block's a and the ends after."""
+    while True:
+        h = (p + q) // (2 * q)
+        if h != (P + Q) // (2 * Q):
+            break
+        d, e = abs(p) - q, abs(P) - Q
+        if 0 < 4 * d <= q:
+            n = (q - 2 * d) // (2 * d)
+            if not 0 < 4 * e <= Q or n != (Q - 2 * e) // (2 * e):
+                break
+            p, q, P, Q = p - 2 * n * h * d, q - 2 * n * d, P - 2 * n * h * e, Q - 2 * n * e
+        elif 0 < 4 * e <= Q:
+            break
+        else:
+            n = 0
+            r, R = p - 2 * h * q, P - 2 * h * Q
+            if r > 0 < R:
+                p, q, P, Q = q, r, Q, R
+            elif -q < r < 0 and -Q < R < 0:  # r = -q at the odd integer 2h - 1, as at +-1
+                p, q, P, Q = -q, -r, -Q, -R
+            else:
+                break
+        a = _emit(runs, a, h, n)
+        if once:
+            break
+    return a, p, q, P, Q
+
+
+def _lehmer_rounds(runs: list, u: int, v: int) -> tuple:
+    """Emit the descent's steps from u/v in Lehmer rounds while v is longer
+    than two windows; return the open block's a and the value left."""
+    a = None
+    while v >> 2 * _WINDOW > 0:
+        k = v.bit_length() - _WINDOW
+        U, V = u >> k, v >> k
+        p, q, P, Q = (U, V + 1, U + 1, V) if U >= 0 else (U, V, U + 1, V + 1)
+        a, f, g, F, G = _round(runs, a, p, q, P, Q)
+        if g == q:  # no step
+            a, u, v, _, _ = _round(runs, a, u, v, u, v, True)
+        else:
+            # M = (f F / g G) (p P / q Q)^-1 is the round's matrix.
+            det = p * Q - P * q
+            A, B = (f * Q - F * q) // det, (F * p - f * P) // det
+            C, D = (g * Q - G * q) // det, (G * p - g * P) // det
+            u, v = A * u + B * v, C * u + D * v
+    return a, Fraction(u, v)
+
+
 def _even_runs(x: Fraction) -> tuple:
     """The runs (a, b, count) of the even expansion of x, written by the
-    descent in the module docstring."""
+    descent in the module docstring: in Lehmer rounds while the denominator
+    is longer than two windows, then one Fraction step at a time."""
     runs: list = []
     a = None  # the open block's a while the descent is at its b slot
+    if x.denominator >> 2 * _WINDOW:
+        a, x = _lehmer_rounds(runs, x.numerator, x.denominator)
     while True:
         u, v = x.numerator, x.denominator
         if v == 1:
@@ -180,17 +289,11 @@ def _even_runs(x: Fraction) -> tuple:
             # 1 < |x| < 2 with n >= 1 whole pairs (2s, -2s) ahead.
             s = 1 if u > 0 else -1
             n = (v - 2 * d) // (2 * d)
-            if a is None:
-                _add_run(runs, (s, -s, n))
-            else:  # close the open block with s, fill n - 1 blocks (-s, s), open one with -s
-                _add_run(runs, (a, s, 1))
-                if n > 1:
-                    _add_run(runs, (-s, s, n - 1))
-                a = -s
+            a = _emit(runs, a, s, n)
             x = Fraction(u - 2 * n * s * d, v - 2 * n * d)
             continue
         h = (u + v) // (2 * v)  # 2h is the even integer nearest x
-        if a is None:
+        if a is None:  # inline: calling _emit here cost typical descents 2-3%
             a = h
         else:
             _add_run(runs, (a, h, 1))

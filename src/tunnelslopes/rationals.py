@@ -98,17 +98,30 @@ class _Record:
 
 
 def _memory() -> int:
-    """The bytes of memory this machine has, or sys.maxsize where that is unknown."""
+    """The bytes of memory this process may use: the least of the machine's
+    memory and the soft RLIMIT_AS and RLIMIT_DATA, each taken as no limit
+    where it is unknown or RLIM_INFINITY, or sys.maxsize where none is set."""
+    limits = [sys.maxsize]
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):
-        return sys.maxsize
+        pass
+    try:
+        import resource
+    except ImportError:  # a platform without resource limits
+        return min(limits)
+    for limit in (resource.RLIMIT_AS, resource.RLIMIT_DATA):
+        soft = resource.getrlimit(limit)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    return min(limits)
 
 
 # Records store runs (part, count) that can stand for more items than memory
 # holds. Every write-out of runs is built only once it is known to fit in the
-# machine's memory: a larger one could only fail, and where the system grants
-# memory it cannot back, fail by having the process killed.
+# memory this process may use: a larger one could only fail, and where the
+# system grants memory it cannot back, fail by having the process killed.
+# Cgroup limits are not read.
 _MEMORY = _memory()
 _BLOCK = 1024
 
@@ -116,7 +129,7 @@ _BLOCK = 1024
 def _fits(pieces: list, what: str, item_bytes: int) -> None:
     """Raise MemoryError, naming the longest run of what, when part * count
     over pieces (part, count), at item_bytes per item, would take more than
-    the machine's memory."""
+    the memory this process may use."""
     if sum([len(part) * count for part, count in pieces]) * item_bytes > _MEMORY:
         longest = max([count for _, count in pieces])
         raise MemoryError(f"a run of {_shown(longest)} {what} cannot be written out")

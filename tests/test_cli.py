@@ -326,6 +326,25 @@ class TestSlopes:
         assert (code, err) == (0, "")
         assert out == "[ 2/5 ]" + ", -1" * 499999 + "\n"
 
+    def test_text_past_a_resource_limit_fails_at_once(self):
+        # A 21-digit invariant whose tuple is 16 runs of 906 420 508 slopes,
+        # about 2.7 GB of text, which the machine's memory may hold but a
+        # child that lowers its own RLIMIT_AS to 400 MB may not.
+        code = """
+import resource, sys
+limit = 400 * 2**20
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+from tunnelslopes import cli, rationals
+assert rationals._MEMORY <= limit, rationals._MEMORY
+sys.exit(cli.main(["slopes", "-126396224493554848233/69722732674"]))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: out of memory: the result is too large to write out\n"
+
     @pytest.mark.parametrize("n", [10**16, 10**2000])
     def test_expansion_too_long_to_write_out(self, capsys, n):
         # (N + 1)/(N - 1) expands to about N/2 entries in a few runs; writing

@@ -1,11 +1,12 @@
 import copy
 import pickle
+import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, zip_longest
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from tunnelslopes import (
     INFINITY,
@@ -16,10 +17,13 @@ from tunnelslopes import (
     change_of_basis,
     conversion_word,
     even_cf_expand,
+    make_form,
     st_convert,
     sum_a,
+    two_bridge_slopes,
     word_product,
 )
+from tunnelslopes import contfrac
 from tunnelslopes.contfrac import _even_runs, _fold, _fold_runs
 from tunnelslopes.rationals import _add_run
 
@@ -813,3 +817,84 @@ class TestWritersOfAHugeRun:
         with pytest.raises(MemoryError, match="cannot be written out"):
             conversion_word(self.x)
         assert st_convert(st_convert(self.x)) == self.x
+
+
+# Lehmer rounds. While the denominator is longer than two windows,
+# _even_runs takes the descent's steps on the top _WINDOW bits of the pair,
+# for both ends of an interval that holds x; with _WINDOW patched out of
+# reach, the Fraction loop alone writes the runs, the reference here.
+WINDOW = contfrac._WINDOW
+
+
+def without_rounds(f, *args):
+    """f(*args) with the Lehmer rounds switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contfrac, "_WINDOW", 10**9)
+        return f(*args)
+
+
+def two_bridge_tuple(b, a):
+    return two_bridge_slopes(make_form(b, a))
+
+
+# Sizes up to 4300 digits (14 284 bits), a third of them within 6 bits of
+# the 2 * WINDOW bits from which the rounds run, on either side.
+round_bits = st.one_of(
+    st.integers(2 * WINDOW - 6, 2 * WINDOW + 6),
+    st.integers(2 * WINDOW + 7, 700),
+    st.sampled_from([2000, 14_284]),
+)
+
+
+@st.composite
+def round_values(draw):
+    bits = draw(round_bits)
+    big = draw(st.integers(2 ** (bits - 1), 2**bits))
+    s = draw(signs)
+    family = draw(st.sampled_from(["random", "p+-1", "odd+1/N", "N+1/N-1", "c+-1/N", "c+-1/N^2"]))
+    if family == "random":
+        return Fraction(s * draw(st.integers(0, 2**bits)), big)
+    if family == "p+-1":
+        return s * Fraction(big + draw(signs), big)
+    if family == "odd+1/N":
+        return 2 * draw(st.integers(-50, 50)) + 1 + Fraction(s, big)
+    if family == "N+1/N-1":
+        return s * Fraction(big + 1, big - 1)
+    # Next to the ends of the decision regions: odd integers, the run
+    # regime's edge 5/4 and the edge 9/8 between 2 and 3 pairs.
+    c = draw(st.sampled_from([1, -1, Fraction(5, 4), Fraction(-5, 4), 3, -3, Fraction(9, 8)]))
+    n = big if family == "c+-1/N" else draw(st.integers(2 ** (bits // 2 - 1), 2 ** (bits // 2)))
+    return c + Fraction(s, n if family == "c+-1/N" else n * n)
+
+
+class TestLehmerRounds:
+    # These draws catch a round without the remainder-sign check, one that
+    # starts from the interval of the other sign of U, and one that lets an
+    # end with remainder -1 through (as at -2^57/(2^57 + 1), whose first
+    # round has the end -1). Dropping either half of the check that both
+    # ends are in the run regime changes no draw's runs: that check rests,
+    # like the round as a whole, on the derivation in the module docstring.
+    # Failures are not shrunk: shrinking a draw of thousands of digits
+    # through the reference takes minutes.
+    @given(round_values())
+    @settings(max_examples=400, derandomize=True, deadline=None, phases=[Phase.explicit, Phase.generate])
+    def test_runs_are_those_of_the_fraction_loop(self, x):
+        assert _even_runs(x) == without_rounds(_even_runs, x)
+
+    @pytest.mark.parametrize("digits", [100, 1000, 4300])
+    def test_random_slopes_of_many_digits(self, digits):
+        rng = random.Random(digits)
+        for _ in range(3 if digits < 4300 else 1):
+            q = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+            x = Fraction(rng.choice((1, -1)) * q, rng.randrange(10 ** (digits - 1), 10**digits))
+            assert _even_runs(x) == without_rounds(_even_runs, x)
+
+    def test_the_invariants_at_scale(self):
+        # 10^300-sized slopes: random draws and the N-families.
+        rng = random.Random(300)
+        xs = [Fraction(rng.randrange(10**299, 10**300) | 1, rng.randrange(10**299, 10**300)) for _ in range(3)]
+        xs += [x for x in n_families(10**300) if x.numerator % 2]
+        for x in xs:
+            b, a = abs(x.numerator), x.denominator % abs(x.numerator)
+            for f, *args in [(st_convert, x), (change_of_basis, x), (make_form, b, a), (two_bridge_tuple, b, a)]:
+                assert f(*args) == without_rounds(f, *args)

@@ -309,11 +309,38 @@ class TestWriteOut:
         with pytest.raises(MemoryError, match=f"^a run of {3 * 10**5} equal values cannot be written out$"):
             _written_text([("ab", 3 * 10**5)])
 
+    @pytest.mark.parametrize(
+        "pages,limit_as,limit_data,memory",
+        [
+            (1000, -1, -1, 4096 * 1000),  # no resource limit
+            (1000, 10**6, -1, 10**6),  # the soft RLIMIT_AS
+            (1000, -1, 2 * 10**6, 2 * 10**6),  # the soft RLIMIT_DATA
+            (1000, 3 * 10**6, 2 * 10**6, 2 * 10**6),  # the least of them
+            (10, 10**6, 2 * 10**6, 40960),  # the machine's memory
+            (None, 10**6, -1, 10**6),  # the machine's memory unknown
+            (None, -1, -1, sys.maxsize),
+        ],
+    )
+    def test_resource_limits_bound_the_memory(self, monkeypatch, pages, limit_as, limit_data, memory):
+        def sysconf(name):
+            if pages is None:
+                raise ValueError(name)
+            return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name]
+
+        soft = {"AS": limit_as, "DATA": limit_data}
+        fake = SimpleNamespace(
+            RLIMIT_AS="AS", RLIMIT_DATA="DATA", RLIM_INFINITY=-1, getrlimit=lambda name: (soft[name], -1)
+        )
+        monkeypatch.setattr(rationals.os, "sysconf", sysconf)
+        monkeypatch.setitem(sys.modules, "resource", fake)
+        assert rationals._memory() == memory
+
     def test_unknown_memory_is_taken_as_unbounded(self, monkeypatch):
         def sysconf(name):
             raise ValueError(name)
 
         monkeypatch.setattr(rationals.os, "sysconf", sysconf)
+        monkeypatch.setitem(sys.modules, "resource", None)  # a platform without resource limits
         assert rationals._memory() == sys.maxsize
 
     def test_a_long_text_takes_little_more_than_itself(self):

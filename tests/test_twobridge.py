@@ -761,12 +761,13 @@ def test_pool_tuples_match_the_per_element_references():
 
 
 CAPPED_CABLING_STEPS = """
-import resource, time
+import resource, sys, time
 limit = 400 * 2**20
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
 from tunnelslopes import cabling_steps, make_form
-form = make_form(10**16 + 1, 10**16 - 1)
+n = int(sys.argv[1])
+form = make_form(n + 1, n - 1)
 start = time.perf_counter()
 try:
     cabling_steps(form)
@@ -775,16 +776,29 @@ except MemoryError:
 """
 
 
+def capped_cabling_steps_seconds(n):
+    """The seconds cabling_steps of (n + 1)/(n - 1) takes to raise
+    MemoryError in a child whose address space is capped near 400 MB."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tunnelslopes.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CABLING_STEPS, str(n)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
+
+
 def test_cabling_steps_beyond_memory_fail_at_once():
     # (N + 1)/(N - 1) with N = 10^16 has about 2.5 * 10^15 cablings. In a child
     # whose address space is capped near 400 MB, sizing the result from the
     # walk's counts fails before any CablingStep is built.
-    env = {**os.environ, "PYTHONPATH": str(Path(tunnelslopes.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", CAPPED_CABLING_STEPS], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 1.0
+    assert capped_cabling_steps_seconds(10**16) < 1.0
+
+
+def test_cabling_steps_past_the_address_space_limit_fail_at_once():
+    # N = 8 * 10^7: about 2 * 10^7 cablings, some 2 GB of records, fit in the
+    # machine's memory but not in the capped address space, which the
+    # memory budget reads; without it the child filled 400 MB for 5.5 s.
+    assert capped_cabling_steps_seconds(8 * 10**7) < 1.0
 
 
 def test_cabling_steps_sizes_its_records(monkeypatch):
