@@ -79,6 +79,22 @@ denominators smaller, so a round ends, and it took a step exactly when
 they moved. The steps act linearly on the pairs, so with ends p/q and P/Q
 before the round and f/g and F/G after it, the round's matrix is
 (f F / g G) (p P / q Q)^-1; like each step, it is unimodular.
+
+Change of basis folds the entries as well, and ``_runs_and_fold`` takes the
+fold of a round's entries from the round's matrix R instead of from the
+entries. The entry 2h folds to (2h 1 / 1 0), the inverse of its step
+(u, v) -> (v, u - 2hv), and to minus that inverse where the step flips both
+signs to keep the denominator positive, (u, v) -> (-v, 2hv - u). The n pairs
+of a run fold to M^n above, which is (-1)^n times the inverse of their step
+(u, v) -> ((1 - 2n)u + 2nsv, (1 + 2n)v - 2nsu). So the entries of a round
+fold to R^-1 times -1 to the number of its flips and of its run pairs, and
+R^-1 is det(R) times the adjugate of R. One product of the long fold by
+a short matrix per round replaces one per entry, and only the Fraction
+loop's tail is folded entry by entry, from the rounds' fold. Where the
+rounds stop with a block open, that fold holds the block's 2a, which the
+tail writes again when it closes the block, so it is first multiplied by
+(2a 1 / 1 0)^-1 = (0 1 / 1 -2a). The tail is written as runs of its own and
+merged with the rounds' last run after it is folded.
 """
 
 from __future__ import annotations
@@ -112,11 +128,12 @@ def _fold(word: Iterable[ProjectiveRational], start: tuple = (1, 0, 0, 1)) -> tu
     return q, s, p, r
 
 
-def _fold_runs(runs: tuple) -> tuple[int, int, int, int]:
-    """``_fold`` of the word that runs of blocks stand for, not written out:
-    a run of n > 1 blocks (g, -g) with g = +-1 in closed form, any other run
-    block by block, and the last block on its own, as its b is bk whole."""
-    fold, word = (1, 0, 0, 1), []
+def _fold_runs(runs: tuple, fold: tuple = (1, 0, 0, 1)) -> tuple[int, int, int, int]:
+    """``_fold`` of the word that runs of blocks stand for, times fold on the
+    left, not written out: a run of n > 1 blocks (g, -g) with g = +-1 in
+    closed form, any other run block by block, and the last block on its
+    own, as its b is bk whole."""
+    word = []
     *body, last = runs
     a, b, n = last
     if n > 1:
@@ -214,10 +231,12 @@ def _emit(runs: list, a, h: int, n: int):
     return -h
 
 
-def _round(runs: list, a, p: int, q: int, P: int, Q: int, once: bool = False):
+def _round(runs: list, a, p: int, q: int, P: int, Q: int):
     """Emit the descent's steps while the ends p/q and P/Q (q, Q > 0) of an
-    interval take the same one (the first step only when once), as the
-    module docstring derives; return the open block's a and the ends after."""
+    interval take the same one, as the module docstring derives; return the
+    open block's a, the ends after, and the sign that the fold of the
+    entries emitted takes against the inverse of the round's matrix."""
+    sign = 1
     while True:
         h = (p + q) // (2 * q)
         if h != (P + Q) // (2 * Q):
@@ -228,51 +247,70 @@ def _round(runs: list, a, p: int, q: int, P: int, Q: int, once: bool = False):
             if not 0 < 4 * e <= Q or n != (Q - 2 * e) // (2 * e):
                 break
             p, q, P, Q = p - 2 * n * h * d, q - 2 * n * d, P - 2 * n * h * e, Q - 2 * n * e
-        elif 0 < 4 * e <= Q:
+            if n & 1:
+                sign = -sign
+            a = _emit(runs, a, h, n)
+            continue
+        if 0 < 4 * e <= Q:
             break
+        r, R = p - 2 * h * q, P - 2 * h * Q
+        if r > 0 < R:
+            p, q, P, Q = q, r, Q, R
+        elif -q < r < 0 and -Q < R < 0:  # r = -q at the odd integer 2h - 1, as at +-1
+            p, q, P, Q = -q, -r, -Q, -R
+            sign = -sign
         else:
-            n = 0
-            r, R = p - 2 * h * q, P - 2 * h * Q
-            if r > 0 < R:
-                p, q, P, Q = q, r, Q, R
-            elif -q < r < 0 and -Q < R < 0:  # r = -q at the odd integer 2h - 1, as at +-1
-                p, q, P, Q = -q, -r, -Q, -R
-            else:
-                break
-        a = _emit(runs, a, h, n)
-        if once:
             break
-    return a, p, q, P, Q
+        if a is None:  # inline, as in _even_runs
+            a = h
+        else:
+            _add_run(runs, (a, h, 1))
+            a = None
+    return a, p, q, P, Q, sign
 
 
-def _lehmer_rounds(runs: list, u: int, v: int) -> tuple:
-    """Emit the descent's steps from u/v in Lehmer rounds while v is longer
-    than two windows; return the open block's a and the value left."""
-    a = None
+def _lehmer_rounds(runs: list, a, u: int, v: int, folds: list | None = None) -> tuple:
+    """Emit the descent's steps from u/v, with open block a, in Lehmer rounds
+    while v is longer than two windows; return the open block's a and the
+    value left. Given a list folds, append to it the fold of each round's
+    entries, as the module docstring derives it from the round's matrix."""
     while v >> 2 * _WINDOW > 0:
         k = v.bit_length() - _WINDOW
         U, V = u >> k, v >> k
         p, q, P, Q = (U, V + 1, U + 1, V) if U >= 0 else (U, V, U + 1, V + 1)
-        a, f, g, F, G = _round(runs, a, p, q, P, Q)
-        if g == q:  # no step
-            a, u, v, _, _ = _round(runs, a, u, v, u, v, True)
-        else:
-            # M = (f F / g G) (p P / q Q)^-1 is the round's matrix.
+        a, f, g, F, G, sign = _round(runs, a, p, q, P, Q)
+        if g != q:
+            # R = (f F / g G) (p P / q Q)^-1 is the round's matrix.
             det = p * Q - P * q
             A, B = (f * Q - F * q) // det, (F * p - f * P) // det
             C, D = (g * Q - G * q) // det, (G * p - g * P) // det
-            u, v = A * u + B * v, C * u + D * v
+        else:  # no step: take one on (u, v) itself
+            d = abs(u) - v
+            if 0 < 4 * d <= v:  # n pairs: (u, v) -> (u - 2nhd, v - 2nd)
+                h = 1 if u > 0 else -1
+                n = (v - 2 * d) // (2 * d)
+                A, B, C, D = 1 - 2 * n, 2 * n * h, -2 * n * h, 1 + 2 * n
+                sign = -1 if n & 1 else 1
+            else:  # the entry 2h: (u, v) -> sign * (v, u - 2hv)
+                h, n = (u + v) // (2 * v), 0
+                sign = 1 if u > 2 * h * v else -1
+                A, B, C, D = 0, sign, sign, -2 * h * sign
+            a = _emit(runs, a, h, n)
+        u, v = A * u + B * v, C * u + D * v
+        if folds is not None:
+            e = sign * (A * D - B * C)  # sign * R^-1 = e * adj(R), as det R = +-1
+            folds.append((e * D, -e * B, -e * C, e * A))
     return a, Fraction(u, v)
 
 
-def _even_runs(x: Fraction) -> tuple:
+def _even_runs(x: Fraction, a=None) -> tuple:
     """The runs (a, b, count) of the even expansion of x, written by the
     descent in the module docstring: in Lehmer rounds while the denominator
-    is longer than two windows, then one Fraction step at a time."""
+    is longer than two windows, then one Fraction step at a time. Given the
+    open block's a, the runs go on from x at that block's b slot."""
     runs: list = []
-    a = None  # the open block's a while the descent is at its b slot
     if x.denominator >> 2 * _WINDOW:
-        a, x = _lehmer_rounds(runs, x.numerator, x.denominator)
+        a, x = _lehmer_rounds(runs, a, x.numerator, x.denominator)
     while True:
         u, v = x.numerator, x.denominator
         if v == 1:
@@ -299,6 +337,23 @@ def _even_runs(x: Fraction) -> tuple:
             _add_run(runs, (a, h, 1))
             a = None
         x = 1 / (x - 2 * h)
+
+
+def _runs_and_fold(x: Fraction) -> tuple:
+    """``_even_runs(x)`` and ``_fold_runs`` of them, with the Lehmer rounds'
+    entries folded from the rounds' own matrices, as the module docstring
+    derives, and only the Fraction loop's tail folded run by run."""
+    runs, folds = [], []
+    a, x = _lehmer_rounds(runs, None, x.numerator, x.denominator, folds)
+    q, s, p, r = 1, 0, 0, 1
+    for A, B, C, D in folds:
+        q, s, p, r = q * A + s * C, q * B + s * D, p * A + r * C, p * B + r * D
+    if a is not None:  # the tail writes the open block's 2a again: undo it
+        q, s, p, r = s, q - 2 * a * s, r, p - 2 * a * r
+    tail = _even_runs(x, a)
+    _add_run(runs, tail[0])
+    runs += tail[1:]
+    return tuple(runs), _fold_runs(tail, (q, s, p, r))
 
 
 def even_cf_expand(x) -> EvenCF:

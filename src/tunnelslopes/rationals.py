@@ -97,11 +97,45 @@ class _Record:
         return type(self)._new, self._stored()
 
 
+# Where the memory limit of this process's cgroup is read: the list of its
+# cgroups, and the root under which the cgroup file systems are mounted.
+_CGROUP_LIST, _CGROUP_ROOT = "/proc/self/cgroup", "/sys/fs/cgroup"
+
+
+def _cgroup_limits() -> list:
+    """The memory limits of this process's own cgroups: the v2 memory.max and
+    the v1 memory.limit_in_bytes, each one found through _CGROUP_LIST and
+    taken as no limit where it is missing, unreadable or "max"."""
+    try:
+        with open(_CGROUP_LIST) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return []
+    limits = []
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if not controllers:
+            name = f"{_CGROUP_ROOT}{path.rstrip('/')}/memory.max"
+        elif "memory" in controllers.split(","):
+            name = f"{_CGROUP_ROOT}/memory{path.rstrip('/')}/memory.limit_in_bytes"
+        else:
+            continue
+        try:
+            with open(name) as f:
+                text = f.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            limits.append(int(text))
+    return limits
+
+
 def _memory() -> int:
     """The bytes of memory this process may use: the least of the machine's
-    memory and the soft RLIMIT_AS and RLIMIT_DATA, each taken as no limit
-    where it is unknown or RLIM_INFINITY, or sys.maxsize where none is set."""
-    limits = [sys.maxsize]
+    memory, its cgroup's limit and the soft RLIMIT_AS and RLIMIT_DATA, each
+    taken as no limit where it is unknown or RLIM_INFINITY, or sys.maxsize
+    where none is set."""
+    limits = [sys.maxsize, *_cgroup_limits()]
     try:
         limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):
@@ -121,8 +155,9 @@ def _memory() -> int:
 # holds. Every write-out of runs is built only once it is known to fit in the
 # memory this process may use: a larger one could only fail, and where the
 # system grants memory it cannot back, fail by having the process killed.
-# Cgroup limits are not read.
-_MEMORY = _memory()
+# _budget is that memory, read by the first write-out, so that a command
+# that writes none out never reads the limits; 0 until then.
+_budget = 0
 _BLOCK = 1024
 
 
@@ -130,7 +165,10 @@ def _fits(pieces: list, what: str, item_bytes: int) -> None:
     """Raise MemoryError, naming the longest run of what, when part * count
     over pieces (part, count), at item_bytes per item, would take more than
     the memory this process may use."""
-    if sum([len(part) * count for part, count in pieces]) * item_bytes > _MEMORY:
+    global _budget
+    if not _budget:
+        _budget = _memory()
+    if sum([len(part) * count for part, count in pieces]) * item_bytes > _budget:
         longest = max([count for _, count in pieces])
         raise MemoryError(f"a run of {_shown(longest)} {what} cannot be written out")
 

@@ -4,12 +4,15 @@ U is upper unitriangular, L lower unitriangular. A word is a sequence of
 exponents (a1, b1, a2, b2, ...) read as U^a1 L^b1 U^a2 L^b2 and so on. A
 matrix is only its four entries; the four continued fractions a word
 encodes are quotients of the entries of its product (see ``word_product``).
-``change_of_basis`` folds the runs of equal blocks that ``contfrac`` keeps
-the even expansion in, a run of blocks (g, -g) as one closed-form matrix, so
-its cost follows the regular partial quotients of the slope rather than the
-length of the expansion. It converts its argument and checks its parity
-once, in ``_odd``, and folds on plain ints in ``_basis``, which takes its
-closing twist from ``_twist``: ``convert`` shares all three.
+``change_of_basis`` folds the even expansion from the runs of equal blocks
+that ``contfrac`` keeps it in, a run of blocks (g, -g) as one closed-form
+matrix, so its cost follows the regular partial quotients of the slope
+rather than the length of the expansion. For a denominator longer than two
+Lehmer windows, the entries of each round fold from the round's own matrix,
+and only the few runs after the rounds fold run by run (see ``contfrac``).
+It converts its argument and checks its parity once, in ``_odd``, and folds
+on plain ints in ``_basis``, which takes its closing twist from ``_twist``:
+``convert`` shares all three.
 
 Only the public constructor ``SL2Matrix(q, s, p, r)`` checks that the
 determinant is 1, since its entries come from outside. ``word_product``,
@@ -24,7 +27,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .contfrac import _even_runs, _fold, _fold_runs
+from . import contfrac
+from .contfrac import _even_runs, _fold, _fold_runs, _runs_and_fold
 from .rationals import ProjectiveRational, _exact, _quotient, _Record, _set, _shown
 
 
@@ -92,9 +96,12 @@ def _twist(x: Fraction, runs: tuple) -> int:
 def _basis(x: Fraction) -> tuple[int, int, int, int]:
     """The entries (q, s, p, r) of ``change_of_basis(x)`` for an exact
     ``Fraction`` x whose numerator the caller has checked is odd."""
-    runs = _even_runs(x)
+    if x.denominator >> 2 * contfrac._WINDOW:
+        runs, (q, s, p, r) = _runs_and_fold(x)
+    else:
+        runs = _even_runs(x)
+        q, s, p, r = _fold_runs(runs)
     t = _twist(x, runs)
-    q, s, p, r = _fold_runs(runs)
     return q, q * t + s, p, p * t + r
 
 

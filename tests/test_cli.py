@@ -336,8 +336,10 @@ limit = 400 * 2**20
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
 from tunnelslopes import cli, rationals
-assert rationals._MEMORY <= limit, rationals._MEMORY
-sys.exit(cli.main(["slopes", "-126396224493554848233/69722732674"]))
+assert rationals._budget == 0, rationals._budget  # read by the first write-out
+status = cli.main(["slopes", "-126396224493554848233/69722732674"])
+assert 0 < rationals._budget <= limit, rationals._budget
+sys.exit(status)
 """
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=60
@@ -529,7 +531,7 @@ class TestJsonErrors:
 
     def test_out_of_memory(self, capsys, monkeypatch):
         # A run of 2000 slopes is written out by the export only once it fits.
-        monkeypatch.setattr(tunnelslopes.rationals, "_MEMORY", 1000)
+        monkeypatch.setattr(tunnelslopes.rationals, "_budget", 1000)
         params = "[ 1/3 ], " + ", ".join(["3"] * 2000) + " ; " + "0" * 1999
         message = "out of memory: the result is too large to write out"
         code, out, err = run(capsys, "classify", "--json", params)

@@ -73,7 +73,7 @@ def command_lines(draw):
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tunnelslopes.rationals, "_MEMORY", MEMORY)
+        patch.setattr(tunnelslopes.rationals, "_budget", MEMORY)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     return code, out.getvalue(), err.getvalue()

@@ -26,6 +26,7 @@ from tunnelslopes import (
 from tunnelslopes import contfrac
 from tunnelslopes.contfrac import _even_runs, _fold, _fold_runs
 from tunnelslopes.rationals import _add_run
+from tunnelslopes.sl2 import _basis, _twist
 
 from test_acceptance import sample_odd_slopes
 from test_rationals import projective_add_invert
@@ -890,11 +891,88 @@ class TestLehmerRounds:
             assert _even_runs(x) == without_rounds(_even_runs, x)
 
     def test_the_invariants_at_scale(self):
-        # 10^300-sized slopes: random draws and the N-families.
+        # 10^300-sized slopes, random draws and the N-families, and one
+        # random 4300-digit slope.
         rng = random.Random(300)
         xs = [Fraction(rng.randrange(10**299, 10**300) | 1, rng.randrange(10**299, 10**300)) for _ in range(3)]
         xs += [x for x in n_families(10**300) if x.numerator % 2]
+        xs.append(Fraction(rng.randrange(10**4299, 10**4300) | 1, rng.randrange(10**4299, 10**4300)))
         for x in xs:
             b, a = abs(x.numerator), x.denominator % abs(x.numerator)
             for f, *args in [(st_convert, x), (change_of_basis, x), (make_form, b, a), (two_bridge_tuple, b, a)]:
                 assert f(*args) == without_rounds(f, *args)
+
+
+# The fold of the Lehmer rounds. For a denominator longer than two windows,
+# _basis folds each round's entries from the round's own matrix and only the
+# Fraction loop's tail entry by entry; the reference folds every run of
+# _even_runs(x) with _fold_runs, and without_rounds(_basis, x) is the
+# Fraction loop and that fold alone.
+def reference_basis(x):
+    runs = _even_runs(x)
+    t = _twist(x, runs)
+    q, s, p, r = _fold_runs(runs)
+    return q, q * t + s, p, p * t + r
+
+
+def rounds_cut(x):
+    """Whether x's Lehmer rounds stop with a block open, and whether the
+    first run that the Fraction loop writes after them lengthens their last."""
+    runs: list = []
+    a, y = contfrac._lehmer_rounds(runs, None, x.numerator, x.denominator)
+    return a is not None, runs[-1][:-1] == _even_runs(y, a)[0][:-1]
+
+
+def periodic_value(n, close):
+    """The value of the word [4, 6] * n + close: one run of n blocks (2, 3)
+    and the closing block."""
+    q, p = 1, 0
+    for c in reversed([4, 6] * n + close):
+        q, p = c * q + p, q
+    return Fraction(q, p)
+
+
+# (open block, merged run) where the rounds stop, for each explicit case. The
+# rounds of the first four take an odd number of flips and run pairs in all.
+CUT_CASES = {
+    Fraction(31266444139197849073, 28326830882602876319): (False, False),
+    Fraction(123949730032300167568250448275165316449, 146642368849806280688702019556195755708): (True, False),
+    Fraction(13964372025090246253537, 35239727359425935406951): (True, True),
+    Fraction(5733841134213043136018173215450553265, 43875002412127833779796074918885561086): (False, True),
+    periodic_value(30, [2, 1]): (False, True),
+    periodic_value(32, [2, 1]): (True, True),
+    periodic_value(2828, [2, 1]): (True, True),
+}
+
+
+class TestFoldOfTheRounds:
+    @given(round_values())
+    @settings(max_examples=150, derandomize=True, deadline=None, phases=[Phase.explicit, Phase.generate])
+    def test_basis_is_the_fold_of_the_runs(self, x):
+        runs = _even_runs(x)
+        assert contfrac._runs_and_fold(x) == (runs, _fold_runs(runs))
+        assert _basis(x) == reference_basis(x)
+
+    @given(round_values())
+    @settings(max_examples=40, derandomize=True, deadline=None, phases=[Phase.explicit, Phase.generate])
+    def test_basis_is_that_of_the_fraction_loop(self, x):
+        assert _basis(x) == without_rounds(_basis, x)
+
+    @pytest.mark.parametrize("x", list(CUT_CASES), ids=lambda x: f"{x.denominator.bit_length()}bits")
+    def test_where_the_rounds_stop(self, x):
+        assert rounds_cut(x) == CUT_CASES[x]
+        runs = without_rounds(_even_runs, x)
+        assert contfrac._runs_and_fold(x) == (runs, _fold_runs(runs))
+        assert _basis(x) == reference_basis(x) == without_rounds(_basis, x)
+
+    def test_the_families_at_scale(self):
+        for x in n_families(10**300) + [5 + Fraction(1, 10**300), Fraction(5, 4) - Fraction(1, 10**300)]:
+            assert _basis(x) == reference_basis(x) == without_rounds(_basis, x)
+
+    def test_a_round_without_its_sign_fails(self, monkeypatch):
+        # Each flip and each odd run of pairs negates the fold of a round's
+        # entries against the inverse of its matrix; a round that drops the
+        # sign leaves the runs as they are, but not the fold.
+        round_ = contfrac._round
+        monkeypatch.setattr(contfrac, "_round", lambda *args: round_(*args)[:-1] + (1,))
+        assert [_basis(x) != reference_basis(x) for x in CUT_CASES][:4] == [True] * 4

@@ -295,7 +295,7 @@ class TestWriteOut:
             (10**6, _written_text, [("ab", 2 * 10**5), ("c", 15 * 10**4)], 2 * 10**5),
             (10**6, _written, [((1,), 10**5), ((2,), 3 * 10**4)], 10**5),
         ]:
-            monkeypatch.setattr(rationals, "_MEMORY", memory)
+            monkeypatch.setattr(rationals, "_budget", memory)
             write([pieces[0]])
             with pytest.raises(MemoryError, match=f"^a run of {longest} equal values cannot be written out$"):
                 traced_peak(write, pieces)
@@ -305,7 +305,7 @@ class TestWriteOut:
     def test_a_text_is_budgeted_with_its_printed_copy(self, monkeypatch):
         # Printing a text makes an encoded copy of it, so writing out and
         # printing 0.6 MB of text takes 1.2 MB: more than 10**6 B.
-        monkeypatch.setattr(rationals, "_MEMORY", 10**6)
+        monkeypatch.setattr(rationals, "_budget", 10**6)
         with pytest.raises(MemoryError, match=f"^a run of {3 * 10**5} equal values cannot be written out$"):
             _written_text([("ab", 3 * 10**5)])
 
@@ -333,6 +333,7 @@ class TestWriteOut:
         )
         monkeypatch.setattr(rationals.os, "sysconf", sysconf)
         monkeypatch.setitem(sys.modules, "resource", fake)
+        monkeypatch.setattr(rationals, "_CGROUP_LIST", "/nonexistent/cgroup")  # no cgroup limit
         assert rationals._memory() == memory
 
     def test_unknown_memory_is_taken_as_unbounded(self, monkeypatch):
@@ -341,7 +342,57 @@ class TestWriteOut:
 
         monkeypatch.setattr(rationals.os, "sysconf", sysconf)
         monkeypatch.setitem(sys.modules, "resource", None)  # a platform without resource limits
+        monkeypatch.setattr(rationals, "_CGROUP_LIST", "/nonexistent/cgroup")
         assert rationals._memory() == sys.maxsize
+
+    # A fake cgroup tree: the list of the process's cgroups, as in
+    # /proc/self/cgroup, and the file systems mounted under one root. A limit
+    # file that is a directory stands for one that cannot be read.
+    @pytest.mark.parametrize(
+        "cgroups,files,memory",
+        [
+            ("0::/a/b\n", {"a/b/memory.max": "3000000\n"}, 3 * 10**6),  # v2
+            ("0::/\n", {"memory.max": "3000000\n"}, 3 * 10**6),  # v2, at the root
+            ("0::/a/b\n", {"a/b/memory.max": "max\n"}, 4 * 10**6),  # v2 without a limit
+            ("0::/a/b\n", {"a/memory.max": "3000000\n"}, 4 * 10**6),  # a parent's file only
+            ("4:memory:/x\n3:cpuset:/jobs\n", {"memory/x/memory.limit_in_bytes": "2000000\n"}, 2 * 10**6),  # v1
+            ("4:cpu,memory:/x\n", {"memory/x/memory.limit_in_bytes": "2000000\n"}, 2 * 10**6),
+            ("3:cpuset:/x\n", {"memory/x/memory.limit_in_bytes": "2000000\n"}, 4 * 10**6),
+            # a hybrid tree takes the least of the two
+            ("4:memory:/x\n0::/y\n", {"memory/x/memory.limit_in_bytes": "2000000", "y/memory.max": "5000000"}, 2 * 10**6),
+            ("4:memory:/x\n0::/y\n", {"memory/x/memory.limit_in_bytes": "3000000", "y/memory.max": "1000000"}, 10**6),
+            ("0::/a\n", {}, 4 * 10**6),  # a missing file
+            ("0::/a\n", {"a/memory.max/": ""}, 4 * 10**6),  # an unreadable file
+            (None, {}, 4 * 10**6),  # no list of cgroups
+        ],
+    )
+    def test_the_cgroup_limit_bounds_the_memory(self, monkeypatch, tmp_path, cgroups, files, memory):
+        root = tmp_path / "cgroup"
+        for name, text in files.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if name.endswith("/"):
+                path.mkdir()
+            else:
+                path.write_text(text)
+        if cgroups is not None:
+            (tmp_path / "list").write_text(cgroups)
+        monkeypatch.setattr(rationals, "_CGROUP_LIST", str(tmp_path / "list"))
+        monkeypatch.setattr(rationals, "_CGROUP_ROOT", str(root))
+        monkeypatch.setattr(rationals.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4000, "SC_PHYS_PAGES": 1000}[name])
+        monkeypatch.setitem(sys.modules, "resource", None)
+        assert rationals._memory() == memory
+
+    def test_the_budget_is_read_once_by_the_first_write_out(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(rationals, "_memory", lambda: reads.append(1) or 10**6)
+        monkeypatch.setattr(rationals, "_budget", 0)
+        _written([((1,), 10)])
+        _written_text([("ab", 10)])
+        assert (reads, rationals._budget) == ([1], 10**6)
+        with pytest.raises(MemoryError):
+            _written([((1,), 10**6)])
+        assert reads == [1]
 
     def test_a_long_text_takes_little_more_than_itself(self):
         text, peak = traced_peak(_written_text, [("[ 1/3 ]", 1), (", 3", 10**6), (", 5/2", 1)])

@@ -806,7 +806,7 @@ def test_cabling_steps_sizes_its_records(monkeypatch):
     # (0.4 MB) fit in 1 MB, their records (about 5 MB) do not. Sizing only
     # the slots would build every record before running out.
     form = make_form(200001, 199999)
-    monkeypatch.setattr(tunnelslopes.rationals, "_MEMORY", 10**6)
+    monkeypatch.setattr(tunnelslopes.rationals, "_budget", 10**6)
     tunnelslopes.rationals._written([((None,), 49_999)], "cablings")
     with pytest.raises(MemoryError, match="^a run of 49999 cablings cannot be written out$"):
         cabling_steps(form)
