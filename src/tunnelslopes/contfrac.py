@@ -50,16 +50,16 @@ quotient instead of one per entry. The entries are written out only when
 
 Each step of the descent does a constant number of operations on the full
 numerator and denominator, so a long input costs quadratic time. While the
-denominator v of x = u/v is longer than two windows of _WINDOW bits, the
+denominator v of x = u/v is longer than one window of _WINDOW bits, the
 descent runs Lehmer rounds (D. H. Lehmer, "Euclid's algorithm for large
 numbers", Amer. Math. Monthly 45, 1938; Knuth, TAOCP vol. 2, 4.5.2) on the
-top bits instead. A round shifts u and v right by k bits, the bit length of
-v less _WINDOW, to U and V, so that x lies between U/(V + 1) and (U + 1)/V
-when U >= 0, and between U/V and (U + 1)/(V + 1) when U < 0. It takes the
-descent's steps on both ends of that interval, as pairs of small integers,
-for as long as the two ends take the same step, and then applies the
-product of those steps to (u, v) at once; a round that takes no step takes
-one step on (u, v) itself.
+top bits instead, and leaves the Fraction loop only the last window. A
+round shifts u and v right by k bits, the bit length of v less _WINDOW, to
+U and V, so that x lies between U/(V + 1) and (U + 1)/V when U >= 0, and
+between U/V and (U + 1)/(V + 1) when U < 0. It takes the descent's steps on
+both ends of that interval, as pairs of small integers, for as long as the
+two ends take the same step, and then applies the product of those steps to
+(u, v) at once; a round that takes no step takes one on (u, v) itself.
 
 Every step is exactly the one x takes. A step depends only on the value: the
 run regime with its count n, where 1 < |x| <= 5/4 and n = floor(1/(2|x| - 2))
@@ -88,13 +88,14 @@ signs to keep the denominator positive, (u, v) -> (-v, 2hv - u). The n pairs
 of a run fold to M^n above, which is (-1)^n times the inverse of their step
 (u, v) -> ((1 - 2n)u + 2nsv, (1 + 2n)v - 2nsu). So the entries of a round
 fold to R^-1 times -1 to the number of its flips and of its run pairs, and
-R^-1 is det(R) times the adjugate of R. One product of the long fold by
-a short matrix per round replaces one per entry, and only the Fraction
-loop's tail is folded entry by entry, from the rounds' fold. Where the
-rounds stop with a block open, that fold holds the block's 2a, which the
-tail writes again when it closes the block, so it is first multiplied by
-(2a 1 / 1 0)^-1 = (0 1 / 1 -2a). The tail is written as runs of its own and
-merged with the rounds' last run after it is folded.
+R^-1 is det(R) times the adjugate of R. Only the bottom row (p r) of the
+fold (q s / p r) is carried, by one short product per round and through the
+Fraction loop's tail run by run; where the rounds stop with a block open,
+it is first multiplied by (2a 1 / 1 0)^-1 = (0 1 / 1 -2a), as the tail
+writes the block's 2a again. As det = qr - sp = +-1, q/p is x in lowest
+terms, so q is x's numerator with the sign of p, and s = (qr - det)/p, with
+det = -1 where the word ends on 2ak, at an odd length, else 1. The tail's
+runs are merged with the rounds' last run after they are folded.
 """
 
 from __future__ import annotations
@@ -241,18 +242,19 @@ def _round(runs: list, a, p: int, q: int, P: int, Q: int):
         h = (p + q) // (2 * q)
         if h != (P + Q) // (2 * Q):
             break
-        d, e = abs(p) - q, abs(P) - Q
-        if 0 < 4 * d <= q:
-            n = (q - 2 * d) // (2 * d)
-            if not 0 < 4 * e <= Q or n != (Q - 2 * e) // (2 * e):
+        if h * h == 1:  # the run regime lies in h = +-1, where |p| = h * p
+            d, e = h * p - q, h * P - Q
+            if 0 < 4 * d <= q:
+                n = (q - 2 * d) // (2 * d)
+                if not 0 < 4 * e <= Q or n != (Q - 2 * e) // (2 * e):
+                    break
+                p, q, P, Q = p - 2 * n * h * d, q - 2 * n * d, P - 2 * n * h * e, Q - 2 * n * e
+                if n & 1:
+                    sign = -sign
+                a = _emit(runs, a, h, n)
+                continue
+            if 0 < 4 * e <= Q:
                 break
-            p, q, P, Q = p - 2 * n * h * d, q - 2 * n * d, P - 2 * n * h * e, Q - 2 * n * e
-            if n & 1:
-                sign = -sign
-            a = _emit(runs, a, h, n)
-            continue
-        if 0 < 4 * e <= Q:
-            break
         r, R = p - 2 * h * q, P - 2 * h * Q
         if r > 0 < R:
             p, q, P, Q = q, r, Q, R
@@ -263,18 +265,21 @@ def _round(runs: list, a, p: int, q: int, P: int, Q: int):
             break
         if a is None:  # inline, as in _even_runs
             a = h
+        elif runs and runs[-1][:2] == (a, h):  # _add_run inline: the call cost long slopes up to 5%
+            runs[-1] = (a, h, runs[-1][2] + 1)
+            a = None
         else:
-            _add_run(runs, (a, h, 1))
+            runs.append((a, h, 1))
             a = None
     return a, p, q, P, Q, sign
 
 
 def _lehmer_rounds(runs: list, a, u: int, v: int, folds: list | None = None) -> tuple:
     """Emit the descent's steps from u/v, with open block a, in Lehmer rounds
-    while v is longer than two windows; return the open block's a and the
+    while v is longer than one window; return the open block's a and the
     value left. Given a list folds, append to it the fold of each round's
     entries, as the module docstring derives it from the round's matrix."""
-    while v >> 2 * _WINDOW > 0:
+    while v >> _WINDOW:
         k = v.bit_length() - _WINDOW
         U, V = u >> k, v >> k
         p, q, P, Q = (U, V + 1, U + 1, V) if U >= 0 else (U, V, U + 1, V + 1)
@@ -306,10 +311,10 @@ def _lehmer_rounds(runs: list, a, u: int, v: int, folds: list | None = None) -> 
 def _even_runs(x: Fraction, a=None) -> tuple:
     """The runs (a, b, count) of the even expansion of x, written by the
     descent in the module docstring: in Lehmer rounds while the denominator
-    is longer than two windows, then one Fraction step at a time. Given the
+    is longer than one window, then one Fraction step at a time. Given the
     open block's a, the runs go on from x at that block's b slot."""
     runs: list = []
-    if x.denominator >> 2 * _WINDOW:
+    if x.denominator >> _WINDOW:
         a, x = _lehmer_rounds(runs, a, x.numerator, x.denominator)
     while True:
         u, v = x.numerator, x.denominator
@@ -340,20 +345,23 @@ def _even_runs(x: Fraction, a=None) -> tuple:
 
 
 def _runs_and_fold(x: Fraction) -> tuple:
-    """``_even_runs(x)`` and ``_fold_runs`` of them, with the Lehmer rounds'
-    entries folded from the rounds' own matrices, as the module docstring
-    derives, and only the Fraction loop's tail folded run by run."""
+    """``_even_runs(x)`` and ``_fold_runs`` of them, as the module docstring
+    derives them: the bottom row folded from the Lehmer rounds' own matrices
+    and the Fraction loop's tail, and the top row from x and the determinant."""
     runs, folds = [], []
-    a, x = _lehmer_rounds(runs, None, x.numerator, x.denominator, folds)
-    q, s, p, r = 1, 0, 0, 1
+    a, y = _lehmer_rounds(runs, None, x.numerator, x.denominator, folds)
+    p, r = 0, 1
     for A, B, C, D in folds:
-        q, s, p, r = q * A + s * C, q * B + s * D, p * A + r * C, p * B + r * D
+        p, r = p * A + r * C, p * B + r * D
     if a is not None:  # the tail writes the open block's 2a again: undo it
-        q, s, p, r = s, q - 2 * a * s, r, p - 2 * a * r
-    tail = _even_runs(x, a)
+        p, r = r, p - 2 * a * r
+    tail = _even_runs(y, a)
     _add_run(runs, tail[0])
     runs += tail[1:]
-    return tuple(runs), _fold_runs(tail, (q, s, p, r))
+    _, _, p, r = _fold_runs(tail, (0, 0, p, r))
+    q = x.numerator if p > 0 else -x.numerator
+    det = -1 if tail[-1][1] is None else 1
+    return tuple(runs), (q, (q * r - det) // p, p, r)
 
 
 def even_cf_expand(x) -> EvenCF:

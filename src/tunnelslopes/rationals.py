@@ -103,9 +103,9 @@ _CGROUP_LIST, _CGROUP_ROOT = "/proc/self/cgroup", "/sys/fs/cgroup"
 
 
 def _cgroup_limits() -> list:
-    """The memory limits of this process's own cgroups: the v2 memory.max and
-    the v1 memory.limit_in_bytes, each one found through _CGROUP_LIST and
-    taken as no limit where it is missing, unreadable or "max"."""
+    """The memory limits of this process's cgroups, found through _CGROUP_LIST,
+    and of their ancestors, which bound it too: the v2 memory.max and the v1
+    memory.limit_in_bytes, each taken as no limit where missing, unreadable or "max"."""
     try:
         with open(_CGROUP_LIST) as f:
             lines = f.read().splitlines()
@@ -115,18 +115,20 @@ def _cgroup_limits() -> list:
     for line in lines:
         _, controllers, path = line.split(":", 2)
         if not controllers:
-            name = f"{_CGROUP_ROOT}{path.rstrip('/')}/memory.max"
+            root, leaf = _CGROUP_ROOT, "memory.max"
         elif "memory" in controllers.split(","):
-            name = f"{_CGROUP_ROOT}/memory{path.rstrip('/')}/memory.limit_in_bytes"
+            root, leaf = f"{_CGROUP_ROOT}/memory", "memory.limit_in_bytes"
         else:
             continue
-        try:
-            with open(name) as f:
-                text = f.read().strip()
-        except OSError:
-            continue
-        if text.isdigit():
-            limits.append(int(text))
+        parts = path.rstrip("/").split("/")
+        for i in range(len(parts), 0, -1):  # the cgroup, its parent, ..., the root
+            try:
+                with open(f"{root}{'/'.join(parts[:i])}/{leaf}") as f:
+                    text = f.read().strip()
+            except OSError:
+                continue
+            if text.isdigit():
+                limits.append(int(text))
     return limits
 
 

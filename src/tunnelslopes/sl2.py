@@ -7,9 +7,9 @@ encodes are quotients of the entries of its product (see ``word_product``).
 ``change_of_basis`` folds the even expansion from the runs of equal blocks
 that ``contfrac`` keeps it in, a run of blocks (g, -g) as one closed-form
 matrix, so its cost follows the regular partial quotients of the slope
-rather than the length of the expansion. For a denominator longer than two
-Lehmer windows, the entries of each round fold from the round's own matrix,
-and only the few runs after the rounds fold run by run (see ``contfrac``).
+rather than the length of the expansion. For a denominator longer than one
+Lehmer window, it folds only the bottom row, from the rounds' own matrices
+and the runs after them, and recovers the top row from x (see ``contfrac``).
 It converts its argument and checks its parity once, in ``_odd``, and folds
 on plain ints in ``_basis``, which takes its closing twist from ``_twist``:
 ``convert`` shares all three.
@@ -96,7 +96,7 @@ def _twist(x: Fraction, runs: tuple) -> int:
 def _basis(x: Fraction) -> tuple[int, int, int, int]:
     """The entries (q, s, p, r) of ``change_of_basis(x)`` for an exact
     ``Fraction`` x whose numerator the caller has checked is odd."""
-    if x.denominator >> 2 * contfrac._WINDOW:
+    if x.denominator >> contfrac._WINDOW:
         runs, (q, s, p, r) = _runs_and_fold(x)
     else:
         runs = _even_runs(x)

@@ -820,7 +820,7 @@ class TestWritersOfAHugeRun:
         assert st_convert(st_convert(self.x)) == self.x
 
 
-# Lehmer rounds. While the denominator is longer than two windows,
+# Lehmer rounds. While the denominator is longer than one window,
 # _even_runs takes the descent's steps on the top _WINDOW bits of the pair,
 # for both ends of an interval that holds x; with _WINDOW patched out of
 # reach, the Fraction loop alone writes the runs, the reference here.
@@ -838,9 +838,11 @@ def two_bridge_tuple(b, a):
     return two_bridge_slopes(make_form(b, a))
 
 
-# Sizes up to 4300 digits (14 284 bits), a third of them within 6 bits of
-# the 2 * WINDOW bits from which the rounds run, on either side.
+# Sizes up to 4300 digits (14 284 bits), a quarter of them within 6 bits of
+# the WINDOW bits from which the rounds run, on either side, and a quarter
+# within 6 bits of 2 * WINDOW, where random draws take two rounds or three.
 round_bits = st.one_of(
+    st.integers(WINDOW - 6, WINDOW + 6),
     st.integers(2 * WINDOW - 6, 2 * WINDOW + 6),
     st.integers(2 * WINDOW + 7, 700),
     st.sampled_from([2000, 14_284]),
@@ -890,6 +892,19 @@ class TestLehmerRounds:
             x = Fraction(rng.choice((1, -1)) * q, rng.randrange(10 ** (digits - 1), 10**digits))
             assert _even_runs(x) == without_rounds(_even_runs, x)
 
+    def test_typical_slopes_never_reach_a_round(self, monkeypatch):
+        # Acceptance draws (|q|, p <= 10^6) have denominators under one
+        # window, so the Fraction loop alone converts and expands them.
+        def no_round(*args):
+            raise AssertionError("a typical slope reached a Lehmer round")
+
+        monkeypatch.setattr(contfrac, "_lehmer_rounds", no_round)
+        for x in sample_odd_slopes(2000, seed=20260808):
+            st_convert(x)
+            change_of_basis(x)
+            if abs(x.numerator) > 1:
+                make_form(abs(x.numerator), x.denominator % abs(x.numerator))
+
     def test_the_invariants_at_scale(self):
         # 10^300-sized slopes, random draws and the N-families, and one
         # random 4300-digit slope.
@@ -903,11 +918,12 @@ class TestLehmerRounds:
                 assert f(*args) == without_rounds(f, *args)
 
 
-# The fold of the Lehmer rounds. For a denominator longer than two windows,
-# _basis folds each round's entries from the round's own matrix and only the
-# Fraction loop's tail entry by entry; the reference folds every run of
-# _even_runs(x) with _fold_runs, and without_rounds(_basis, x) is the
-# Fraction loop and that fold alone.
+# The fold of the Lehmer rounds. For a denominator longer than one window,
+# _basis folds only the bottom row, each round's entries from the round's own
+# matrix and the Fraction loop's tail run by run, and takes the top row from
+# x and the determinant; the reference folds every run of _even_runs(x) with
+# _fold_runs, and without_rounds(_basis, x) is the Fraction loop and that
+# fold alone.
 def reference_basis(x):
     runs = _even_runs(x)
     t = _twist(x, runs)
@@ -935,10 +951,10 @@ def periodic_value(n, close):
 # (open block, merged run) where the rounds stop, for each explicit case. The
 # rounds of the first four take an odd number of flips and run pairs in all.
 CUT_CASES = {
-    Fraction(31266444139197849073, 28326830882602876319): (False, False),
-    Fraction(123949730032300167568250448275165316449, 146642368849806280688702019556195755708): (True, False),
-    Fraction(13964372025090246253537, 35239727359425935406951): (True, True),
-    Fraction(5733841134213043136018173215450553265, 43875002412127833779796074918885561086): (False, True),
+    Fraction(13509911608593293535, 20966173156818853271): (False, False),
+    Fraction(68557677608357659916848914248867182435, 88535764569061529619720146262378688479): (True, False),
+    Fraction(27083410619518429920181, 27456159680810375549841): (True, True),
+    Fraction(19234859406507503984557585452059809997, 71676574367596262095904726025890523606): (False, True),
     periodic_value(30, [2, 1]): (False, True),
     periodic_value(32, [2, 1]): (True, True),
     periodic_value(2828, [2, 1]): (True, True),
@@ -964,6 +980,14 @@ class TestFoldOfTheRounds:
         runs = without_rounds(_even_runs, x)
         assert contfrac._runs_and_fold(x) == (runs, _fold_runs(runs))
         assert _basis(x) == reference_basis(x) == without_rounds(_basis, x)
+
+    def test_an_even_numerator_folds_to_determinant_minus_one(self):
+        # The word of an even numerator ends on 2ak, so it has odd length and
+        # its fold determinant -1, from which _runs_and_fold takes s.
+        x = Fraction(16506580001621809774, 10114099397292958801)
+        runs = without_rounds(_even_runs, x)
+        assert runs[-1][1] is None
+        assert contfrac._runs_and_fold(x) == (runs, _fold_runs(runs))
 
     def test_the_families_at_scale(self):
         for x in n_families(10**300) + [5 + Fraction(1, 10**300), Fraction(5, 4) - Fraction(1, 10**300)]:

@@ -354,7 +354,7 @@ class TestWriteOut:
             ("0::/a/b\n", {"a/b/memory.max": "3000000\n"}, 3 * 10**6),  # v2
             ("0::/\n", {"memory.max": "3000000\n"}, 3 * 10**6),  # v2, at the root
             ("0::/a/b\n", {"a/b/memory.max": "max\n"}, 4 * 10**6),  # v2 without a limit
-            ("0::/a/b\n", {"a/memory.max": "3000000\n"}, 4 * 10**6),  # a parent's file only
+            ("0::/a/b\n", {"a/memory.max": "3000000\n"}, 3 * 10**6),  # a parent's limit only
             ("4:memory:/x\n3:cpuset:/jobs\n", {"memory/x/memory.limit_in_bytes": "2000000\n"}, 2 * 10**6),  # v1
             ("4:cpu,memory:/x\n", {"memory/x/memory.limit_in_bytes": "2000000\n"}, 2 * 10**6),
             ("3:cpuset:/x\n", {"memory/x/memory.limit_in_bytes": "2000000\n"}, 4 * 10**6),
@@ -364,6 +364,11 @@ class TestWriteOut:
             ("0::/a\n", {}, 4 * 10**6),  # a missing file
             ("0::/a\n", {"a/memory.max/": ""}, 4 * 10**6),  # an unreadable file
             (None, {}, 4 * 10**6),  # no list of cgroups
+            # the least of the cgroup and its ancestors, but not its children
+            ("4:memory:/x/y\n", {"memory/x/memory.limit_in_bytes": "2000000\n"}, 2 * 10**6),
+            ("0::/a/b\n", {"a/b/memory.max": "3000000\n", "a/memory.max": "2000000\n"}, 2 * 10**6),
+            ("0::/a/b\n", {"a/b/memory.max": "2000000\n", "memory.max": "3000000\n"}, 2 * 10**6),
+            ("0::/a/b\n", {"a/b/c/memory.max": "3000000\n"}, 4 * 10**6),
         ],
     )
     def test_the_cgroup_limit_bounds_the_memory(self, monkeypatch, tmp_path, cgroups, files, memory):
